@@ -259,9 +259,8 @@ func BenchmarkParallelPipeline(b *testing.B) {
 			b.SetBytes(int64(len(raw)))
 			for i := 0; i < b.N; i++ {
 				if _, err := ParallelCompress(raw, ParallelOptions{
-					Workers:    workers,
-					ShardBytes: 256 << 10,
-					Core:       Options{ChunkBytes: 256 << 10},
+					Workers: workers,
+					Core:    Options{ChunkBytes: 256 << 10},
 				}); err != nil {
 					b.Fatal(err)
 				}

@@ -48,7 +48,7 @@ serves the same metrics over HTTP in Prometheus text format at /metrics;
 -metrics-hold keeps the endpoint up after the run finishes.
 
 trace compresses the input with structured tracing enabled and dumps the
-flight recorder: per-chunk codec stage spans, pipeline shard spans, and
+flight recorder: per-chunk codec stage spans under pipeline shard spans, and
 every anomaly (degraded chunks, salvage faults, retry exhaustion, governor
 cancellations). -span filters by span name, -anomalies keeps anomalous
 spans only. -trace-out FILE (usable with any command) streams every span as
@@ -191,7 +191,7 @@ func parseArgs(args []string) (*cli, error) {
 	fs.StringVar(&c.out, "o", "", "output file (default: input + .prm, or stripped on -d)")
 	fs.StringVar(&c.solverName, "solver", "zlib", "solver: zlib, lzo, bzlib, none")
 	fs.IntVar(&c.chunk, "chunk", 0, "chunk size in bytes (default 3 MiB)")
-	fs.IntVar(&c.workers, "workers", 0, "parallel workers (0 = all cores; 1 = sequential container)")
+	fs.IntVar(&c.workers, "workers", 0, "parallel workers (0 = all cores); the output bytes do not depend on it")
 	fs.BoolVar(&c.rowLin, "rows", false, "row linearization (ablation; default columns)")
 	fs.BoolVar(&c.identity, "identity", false, "identity ID mapping (ablation; default ranked)")
 	fs.BoolVar(&c.noISOBAR, "no-isobar", false, "compress all mantissa bytes (ablation)")
@@ -217,6 +217,9 @@ func parseArgs(args []string) (*cli, error) {
 	c.input = fs.Arg(0)
 	if _, err := primacy.ParsePrecondMode(c.precond); err != nil {
 		return nil, fmt.Errorf("-precond: %w", err)
+	}
+	if c.chunk > core.MaxChunkBytes {
+		return nil, fmt.Errorf("-chunk %d: %w (%d bytes)", c.chunk, core.ErrChunkTooLarge, core.MaxChunkBytes)
 	}
 	if c.showStats {
 		c.compress = true
@@ -343,9 +346,11 @@ func (c *cli) runCtx(ctx context.Context, w io.Writer) (err error) {
 	case c.verify:
 		err = c.runVerify(w, data)
 	case c.telemDump:
-		err = c.runTelemetryDump(ctx, w, data, reg)
+		err = c.runDump(ctx, w, data, reg.WriteText)
 	case c.traceDump:
-		err = c.runTrace(ctx, w, data, tr)
+		err = c.runDump(ctx, w, data, func(w io.Writer) error {
+			return tr.WriteText(w, primacy.TraceDumpOptions{NameFilter: c.spanFilter, AnomaliesOnly: c.anomaliesOnly})
+		})
 	case c.modelDump:
 		err = c.runModel(ctx, w, data, reg, tr)
 	case c.compress:
@@ -417,28 +422,17 @@ func (c *cli) holdMetrics(ctx context.Context, w io.Writer) {
 	}
 }
 
-// runTelemetryDump compresses the input with telemetry routed to reg and
-// prints the resulting counters, gauges, and stage-time histograms.
-func (c *cli) runTelemetryDump(ctx context.Context, w io.Writer, data []byte, reg *primacy.Metrics) error {
-	opts := c.options()
-	enc, err := primacy.ParallelCompressCtx(ctx, data, primacy.ParallelOptions{Core: opts, Workers: c.workers})
+// runDump compresses the input with telemetry or tracing on, then dumps
+// what was recorded: the `stats` counters, gauges, and stage-time
+// histograms, or the `trace` flight recorder under the -span and
+// -anomalies filters.
+func (c *cli) runDump(ctx context.Context, w io.Writer, data []byte, dump func(io.Writer) error) error {
+	enc, err := primacy.ParallelCompressCtx(ctx, data, primacy.ParallelOptions{Core: c.options(), Workers: c.workers})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "%s: %d -> %d bytes (%.3fx)\n", c.input, len(data), len(enc), float64(len(data))/float64(len(enc)))
-	return reg.WriteText(w)
-}
-
-// runTrace compresses the input with tracing routed to tr and dumps the
-// flight recorder, honoring the -span and -anomalies filters.
-func (c *cli) runTrace(ctx context.Context, w io.Writer, data []byte, tr *primacy.Tracer) error {
-	opts := c.options()
-	enc, err := primacy.ParallelCompressCtx(ctx, data, primacy.ParallelOptions{Core: opts, Workers: c.workers})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%s: %d -> %d bytes (%.3fx)\n", c.input, len(data), len(enc), float64(len(data))/float64(len(enc)))
-	return tr.WriteText(w, primacy.TraceDumpOptions{NameFilter: c.spanFilter, AnomaliesOnly: c.anomaliesOnly})
+	return dump(w)
 }
 
 // runModel runs a compress+decompress round trip with telemetry and tracing
@@ -546,13 +540,7 @@ func (c *cli) runCompress(ctx context.Context, w io.Writer, data []byte) error {
 			stats.PrecThroughput()/1e6, stats.SolverThroughput()/1e6)
 		return nil
 	}
-	var enc []byte
-	var err error
-	if c.workers == 1 {
-		enc, err = primacy.CompressCtx(ctx, data, opts)
-	} else {
-		enc, err = primacy.ParallelCompressCtx(ctx, data, primacy.ParallelOptions{Core: opts, Workers: c.workers})
-	}
+	enc, err := primacy.ParallelCompressCtx(ctx, data, primacy.ParallelOptions{Core: opts, Workers: c.workers})
 	if err != nil {
 		return err
 	}
@@ -591,20 +579,14 @@ func (c *cli) runDecompress(ctx context.Context, w io.Writer, data []byte) error
 	return nil
 }
 
-// decode dispatches on the container magic — parallel ("PRP"), stream
-// ("PRS"), or sequential core — honoring -salvage.
+// decode dispatches on the container magic — stream ("PRS"), archive
+// ("PAR"), or core and legacy parallel containers — honoring -salvage.
 func (c *cli) decode(ctx context.Context, data []byte) ([]byte, *primacy.CorruptionReport, error) {
 	kind := ""
 	if len(data) >= 4 {
 		kind = string(data[:3])
 	}
 	switch kind {
-	case "PRP":
-		if c.salvage {
-			return primacy.ParallelDecompressSalvage(data, primacy.ParallelOptions{Workers: c.workers})
-		}
-		dec, err := primacy.ParallelDecompressCtx(ctx, data, primacy.ParallelOptions{Workers: c.workers})
-		return dec, nil, err
 	case "PRS":
 		if c.salvage {
 			r := primacy.NewSalvageStreamReader(bytes.NewReader(data))
@@ -629,10 +611,11 @@ func (c *cli) decode(ctx context.Context, data []byte) ([]byte, *primacy.Corrupt
 		dec, err := archiveBytes(r, nil)
 		return dec, nil, err
 	default:
+		popts := primacy.ParallelOptions{Workers: c.workers}
 		if c.salvage {
-			return primacy.DecompressSalvage(data)
+			return primacy.ParallelDecompressSalvage(data, popts)
 		}
-		dec, err := primacy.Decompress(data)
+		dec, err := primacy.ParallelDecompressCtx(ctx, data, popts)
 		return dec, nil, err
 	}
 }

@@ -25,11 +25,12 @@ func writeTestInput(t *testing.T, dir string, elems int) string {
 
 func TestParseArgsValidation(t *testing.T) {
 	cases := [][]string{
-		{},                // no input
-		{"-c", "a", "b"},  // two inputs
-		{"a"},             // neither -c nor -d
-		{"-c", "-d", "a"}, // both
-		{"-badflag", "a"}, // unknown flag
+		{},                                  // no input
+		{"-c", "a", "b"},                    // two inputs
+		{"a"},                               // neither -c nor -d
+		{"-c", "-d", "a"},                   // both
+		{"-badflag", "a"},                   // unknown flag
+		{"-c", "-chunk", "2147483656", "a"}, // chunk above what readers decode
 	}
 	for i, args := range cases {
 		if _, err := parseArgs(args); err == nil {

@@ -23,8 +23,7 @@ func buildArtifacts(t *testing.T) map[string][]byte {
 	}
 	out["core"] = enc
 
-	enc, err = ParallelCompress(raw, ParallelOptions{
-		ShardBytes: 4096, Core: Options{ChunkBytes: 4096}})
+	enc, err = ParallelCompress(raw, ParallelOptions{Workers: 2, Core: Options{ChunkBytes: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
@@ -122,5 +124,25 @@ func TestDecodeFloat64RangeAdversarialBounds(t *testing.T) {
 	}
 	if got, err := r.DecodeFloat64Range(n, 0); err != nil || len(got) != 0 {
 		t.Fatalf("empty range at end: %d values, %v", len(got), err)
+	}
+}
+
+// A chunk size above MaxChunkBytes is refused up front: the input here is
+// far smaller than one chunk, so only a check on the options — not on any
+// chunk actually written — can fire.
+func TestCompressRejectsOversizedChunk(t *testing.T) {
+	data := make([]byte, 64)
+	if _, err := Compress(data, Options{ChunkBytes: MaxChunkBytes + 8}); !errors.Is(err, ErrChunkTooLarge) {
+		t.Fatalf("Compress error = %v, want ErrChunkTooLarge", err)
+	}
+	if _, err := NewEncoder(context.Background(), data, Options{ChunkBytes: MaxChunkBytes + 1}); !errors.Is(err, ErrChunkTooLarge) {
+		t.Fatalf("NewEncoder error = %v, want ErrChunkTooLarge", err)
+	}
+	enc, err := Compress(data, Options{ChunkBytes: MaxChunkBytes})
+	if err != nil {
+		t.Fatalf("MaxChunkBytes rejected: %v", err)
+	}
+	if dec, err := Decompress(enc); err != nil || !bytes.Equal(dec, data) {
+		t.Fatalf("round trip at MaxChunkBytes: %v", err)
 	}
 }

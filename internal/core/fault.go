@@ -42,7 +42,7 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("core: panic in %s: %v", e.Op, e.Value)
 }
 
-// precondState carries the per-call preconditioner machinery: the selector
+// precondState carries one worker's preconditioner machinery: the selector
 // (one instance of every candidate transform), the forward-transform output
 // buffer, and a second scratch so APosteriori trial compressions never
 // clobber the live chunk's buffers. Nil when the preconditioner layer is
@@ -57,6 +57,16 @@ type precondState struct {
 	sv      solver.Compressor
 	opts    Options
 	lay     bytesplit.Layout
+}
+
+// newPrecondState builds the preconditioner machinery opts asks for.
+func newPrecondState(opts Options, sv solver.Compressor, lay bytesplit.Layout) (*precondState, error) {
+	sel, err := precond.NewSelector(opts.Precond.Selection, opts.Precond.Transform,
+		opts.Precond.Candidates, opts.Precond.SampleElems)
+	if err != nil {
+		return nil, err
+	}
+	return &precondState{sel: sel, sv: sv, opts: opts, lay: lay}, nil
 }
 
 // pick chooses the chunk's transform. The APosteriori trial hook runs the
@@ -115,9 +125,7 @@ func compressChunkSafe(chunk []byte, sv solver.Compressor, opts Options, lay byt
 // sc.enc like every other chunk record.
 func appendRawChunkRecord(sc *scratch, chunk []byte) []byte {
 	enc := capSlice(sc.enc, rawChunkRecLen+len(chunk))
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(chunk)))
-	enc = append(enc, u32[:]...)
+	enc = binary.LittleEndian.AppendUint32(enc, uint32(len(chunk)))
 	enc = append(enc, rawChunkFlag)
 	enc = append(enc, chunk...)
 	sc.enc = enc

@@ -29,7 +29,7 @@ func FuzzDecompress(f *testing.F) {
 	// bound checks that must run before any arithmetic on rawLen: an absurdly
 	// large claim and a non-element-aligned one.
 	f.Add(v1ChunkWithRawLen(0xFFFFFFFF))
-	f.Add(v1ChunkWithRawLen(maxChunkRaw - 3))
+	f.Add(v1ChunkWithRawLen(MaxChunkBytes - 3))
 	// v3 seeds: a valid preconditioned container (per-chunk transform IDs),
 	// one with the tid byte mutated to an unregistered transform, and a
 	// truncated record that ends right at the transform-ID byte.

@@ -244,7 +244,7 @@ func TestAdversarialSizeClaimFailsFast(t *testing.T) {
 	if _, err := Decompress(mut); err == nil {
 		t.Fatal("2 GB claim in a tiny container accepted")
 	}
-	// A per-chunk raw-length claim beyond maxChunkRaw must also fail.
+	// A per-chunk raw-length claim beyond MaxChunkBytes must also fail.
 	if _, err := Decompress(faultinject.Truncate(mut, 100)); err == nil {
 		t.Fatal("truncated absurd container accepted")
 	}

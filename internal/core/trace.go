@@ -13,15 +13,11 @@ var ttrc atomic.Pointer[trace.Tracer]
 
 // EnableTracing routes the codec's spans to t; a nil t disables tracing.
 func EnableTracing(t *trace.Tracer) {
-	if t == nil {
-		ttrc.Store(nil)
-		return
-	}
 	ttrc.Store(t)
 }
 
 // startSpan opens a root-or-child span for one codec call: nested under the
-// caller's span when the context carries one (pipeline shards, stream
+// caller's span when the context carries one (pipelines, stream
 // segments), a root span otherwise, and inert when tracing is off.
 func startSpan(parent trace.Span, name string) trace.Span {
 	if parent.Active() {

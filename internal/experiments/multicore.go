@@ -58,7 +58,7 @@ func MulticoreWorkerCounts() []int {
 
 // MeasureMulticore measures pipeline compression goodput for every dataset
 // in cfg.Datasets (all 20 Table III datasets when empty) across the worker
-// ladder. Shard geometry is worker-invariant, so every row compresses to
+// ladder. The container is worker-invariant, so every row compresses to
 // byte-identical output and the comparison is pure scheduling.
 func MeasureMulticore(cfg PerfConfig) (*MulticoreBaseline, error) {
 	n := elemCount(cfg.N)
@@ -82,8 +82,8 @@ func MeasureMulticore(cfg PerfConfig) (*MulticoreBaseline, error) {
 			return nil, fmt.Errorf("experiments: unknown dataset %q", ds)
 		}
 		raw := spec.GenerateBytes(n)
-		// Chunk small enough that even the smallest test inputs shard wider
-		// than the ladder, so every worker has work.
+		// Chunk small enough that even the smallest test inputs split into
+		// more chunks than the ladder's widest rung, so every worker has work.
 		copts := core.Options{Solver: solver, ChunkBytes: len(raw)/(2*base.WorkerCounts[len(base.WorkerCounts)-1]) + 8}
 		var baseMBps float64
 		for _, w := range base.WorkerCounts {

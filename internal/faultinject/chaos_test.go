@@ -66,10 +66,9 @@ func TestChaosParallelCompress(t *testing.T) {
 	before := runtime.NumGoroutine()
 	data := chaosData(60_000, 90)
 	popts := pipeline.Options{
-		Workers:    4,
-		ShardBytes: 64 * 1024,
-		Core:       core.Options{ChunkBytes: 32 * 1024},
-		Governor:   governor.New(256*1024, 3),
+		Workers:  4,
+		Core:     core.Options{ChunkBytes: 32 * 1024},
+		Governor: governor.New(256*1024, 3),
 	}
 	// Happy-path reference: repeated runs must be byte-identical.
 	want, err := pipeline.Compress(data, popts)
@@ -115,14 +114,14 @@ func TestChaosParallelCompress(t *testing.T) {
 		t.Fatalf("intermittent-panic round trip failed: %v", err)
 	}
 	// Decode-side panics cannot degrade (there is nothing to fall back to);
-	// they must surface as a structured per-shard error, not a crash.
+	// they must surface as a structured per-chunk error, not a crash.
 	panicky.PanicEvery = 0
 	panicky.PanicDecompress = true
 	p3 := popts
 	p3.Workers = 2
 	encClean, err := pipeline.Compress(data, pipeline.Options{
-		Workers: 2, ShardBytes: 64 * 1024,
-		Core: core.Options{ChunkBytes: 32 * 1024, Solver: "chaos-panic"},
+		Workers: 2,
+		Core:    core.Options{ChunkBytes: 32 * 1024, Solver: "chaos-panic"},
 	})
 	if err == nil {
 		_, err = pipeline.Decompress(encClean, p3)
@@ -342,8 +341,7 @@ func TestSalvageTruncatedByDeadSource(t *testing.T) {
 
 func TestParallelSalvageTruncatedByDeadSource(t *testing.T) {
 	raw := chaosData(120_000, 93)
-	popts := pipeline.Options{Workers: 4, ShardBytes: 128 * 1024,
-		Core: core.Options{ChunkBytes: 32 * 1024}}
+	popts := pipeline.Options{Workers: 4, Core: core.Options{ChunkBytes: 32 * 1024}}
 	enc, err := pipeline.Compress(raw, popts)
 	if err != nil {
 		t.Fatal(err)

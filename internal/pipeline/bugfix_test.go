@@ -1,96 +1,88 @@
 package pipeline
 
 import (
-	"bytes"
+	"context"
 	"errors"
 	"testing"
 
 	"primacy/internal/core"
 )
 
-// The default shard size must be a whole multiple of the effective chunk
-// size, so interior shards contain only full chunks and sharding never
-// manufactures runt chunks at shard seams.
+// Every unit of work the pipeline schedules is one chunk of the effective
+// chunk size, so interior units hold only full chunks and parallelism never
+// manufactures runt chunks at unit seams.
 func TestDefaultShardBytesIsChunkMultiple(t *testing.T) {
 	cases := []struct {
 		name       string
 		chunkBytes int
 		elemBytes  int
-		workers    int
 		total      int
 	}{
-		{"default_chunk", 0, 8, 4, 50 << 20},
-		{"small_chunk", 8 << 10, 8, 3, 10*(8<<10) + 8},
-		{"odd_chunk", 100001, 8, 5, 3 << 20}, // effective chunk 100000 after elem rounding
-		{"float32", 4 << 10, 4, 7, 1<<20 + 4},
-		{"tiny_input", 8 << 10, 8, 4, 16},
+		{"default_chunk", 0, 8, 50 << 20},
+		{"small_chunk", 8 << 10, 8, 10*(8<<10) + 8},
+		{"odd_chunk", 100001, 8, 3 << 20}, // effective chunk 100000 after elem rounding
+		{"float32", 4 << 10, 4, 1<<20 + 4},
+		{"tiny_input", 8 << 10, 8, 16},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Workers: tc.workers, Core: core.Options{ChunkBytes: tc.chunkBytes}}
+			opts := core.Options{ChunkBytes: tc.chunkBytes}
+			if tc.elemBytes == 4 {
+				opts.Precision = core.Float32
+			}
 			chunk := tc.chunkBytes
 			if chunk == 0 {
 				chunk = 3 << 20
 			}
 			chunk -= chunk % tc.elemBytes
-			sb := opts.shardBytes(tc.total, tc.elemBytes)
-			if sb%chunk != 0 {
-				t.Fatalf("shardBytes(%d, %d) = %d, not a multiple of effective chunk %d",
-					tc.total, tc.elemBytes, sb, chunk)
+			enc, err := core.NewEncoder(context.Background(), make([]byte, tc.total), opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if sb < chunk {
-				t.Fatalf("shardBytes(%d, %d) = %d, below one chunk %d", tc.total, tc.elemBytes, sb, chunk)
+			for i := 0; i < enc.NumChunks(); i++ {
+				start, end, err := enc.ChunkRange(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := end - start; n != chunk && (i != enc.NumChunks()-1 || n > chunk) {
+					t.Fatalf("unit %d of %d holds %d bytes, effective chunk is %d", i, enc.NumChunks(), n, chunk)
+				}
 			}
 		})
 	}
 }
 
 // End to end: with an input that does not divide evenly by workers, every
-// interior shard must still hold only full chunks — only the final shard may
-// carry a partial chunk.
+// interior chunk of the container must be full — only the final chunk may
+// be partial.
 func TestInteriorShardsHoldFullChunks(t *testing.T) {
 	const chunk = 8 << 10
 	opts := Options{Workers: 3, Core: core.Options{ChunkBytes: chunk}}
-	// 10.5 chunks: ceil(total/3) is not a chunk multiple before rounding.
+	// 10.5 chunks: not a multiple of the worker count either.
 	raw := testData((10*chunk + chunk/2) / 8)
-
-	sb := opts.shardBytes(len(raw), 8)
-	if sb%chunk != 0 {
-		t.Fatalf("shard size %d is not a chunk multiple", sb)
+	enc := roundTrip(t, raw, opts)
+	r, err := core.NewChunkReader(enc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for off := 0; off < len(raw); off += sb {
-		end := off + sb
-		if end > len(raw) {
-			end = len(raw) // final shard: partial chunk allowed
-		} else if (end-off)%chunk != 0 {
-			t.Fatalf("interior shard [%d,%d) holds a partial chunk", off, end)
+	if r.NumChunks() != 11 {
+		t.Fatalf("%d chunks, want 11", r.NumChunks())
+	}
+	for i := 0; i < r.NumChunks()-1; i++ {
+		if start, end, _ := r.ChunkRange(i); end-start != chunk {
+			t.Fatalf("interior chunk %d holds %d bytes", i, end-start)
 		}
-	}
-
-	// The parallel container must still round-trip and decode to the input.
-	enc, err := Compress(raw, opts)
-	if err != nil {
-		t.Fatalf("Compress: %v", err)
-	}
-	dec, err := Decompress(enc, opts)
-	if err != nil {
-		t.Fatalf("Decompress: %v", err)
-	}
-	if !bytes.Equal(dec, raw) {
-		t.Fatalf("round trip mismatch: %d raw, %d decoded", len(raw), len(dec))
 	}
 }
 
-// A shard whose compressed form would overflow the u32 frame length must
-// fail with ErrTooLarge, not truncate the length and corrupt the container.
-// The limit is lowered via the test shim so no multi-GiB buffer is needed.
-func TestCompressRejectsOversizedShard(t *testing.T) {
-	old := maxShardBytes
-	maxShardBytes = 64
-	defer func() { maxShardBytes = old }()
-
-	_, err := Compress(testData(4<<10), Options{Core: core.Options{ChunkBytes: 8 << 10}})
-	if !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("Compress error = %v, want ErrTooLarge", err)
+// A chunk size the reader could not decode is refused before any work,
+// even for an input far smaller than one chunk.
+func TestCompressRejectsOversizedChunk(t *testing.T) {
+	_, err := Compress(testData(4), Options{Core: core.Options{ChunkBytes: core.MaxChunkBytes + 8}})
+	if !errors.Is(err, core.ErrChunkTooLarge) {
+		t.Fatalf("Compress error = %v, want core.ErrChunkTooLarge", err)
+	}
+	if _, err := Compress(testData(4), Options{Core: core.Options{ChunkBytes: core.MaxChunkBytes}}); err != nil {
+		t.Fatalf("MaxChunkBytes rejected: %v", err)
 	}
 }

@@ -147,10 +147,10 @@ func TestRunShardsNoGoroutineLeak(t *testing.T) {
 }
 
 func TestGovernedRoundTripByteIdentical(t *testing.T) {
-	// A tight governor (one admission at a time, budget below one shard) must
+	// A tight governor (one admission at a time, budget below one chunk) must
 	// serialize the workers without changing the output bytes.
 	data := shardTestData(50_000, 72)
-	opts := Options{Workers: 4, ShardBytes: 64 * 1024, Core: core.Options{ChunkBytes: 32 * 1024}}
+	opts := Options{Workers: 4, Core: core.Options{ChunkBytes: 32 * 1024}}
 	want, err := Compress(data, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"primacy/internal/core"
+	"primacy/internal/precond"
 )
 
 // FuzzDecompress drives the strict decoder, the salvage decoder, and the
@@ -13,11 +14,18 @@ import (
 // strict decoder accepts an input, salvage must agree with it exactly.
 func FuzzDecompress(f *testing.F) {
 	raw := testData(64)
-	enc, err := Compress(raw, Options{ShardBytes: 256, Core: core.Options{ChunkBytes: 256}})
-	if err != nil {
-		f.Fatal(err)
+	for _, opts := range []core.Options{
+		{ChunkBytes: 256},
+		{ChunkBytes: 256, Precond: core.PrecondOptions{Selection: precond.APriori}},
+		{ChunkBytes: 256, IndexMode: core.IndexReuse},
+	} {
+		enc, err := Compress(raw, Options{Core: opts})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
 	}
-	f.Add(enc)
+	f.Add(readFixture(f, "v2", "multichunk.prp"))
 	f.Add([]byte(magicV1))
 	f.Add([]byte(magicV2))
 	f.Add([]byte("PRP2\x02\x00\x00\x00\x08\x00\x00\x00xxxxPRM2"))

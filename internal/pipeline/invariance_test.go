@@ -2,35 +2,72 @@ package pipeline
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"primacy/internal/core"
+	"primacy/internal/faultinject"
+	"primacy/internal/precond"
 )
 
-// TestDefaultShardGeometryWorkerInvariant pins the default shard size to a
-// pure function of chunk size: the same input must shard identically no
-// matter how many workers the machine has. The server's result cache drops
-// worker count from its key on the strength of this.
-func TestDefaultShardGeometryWorkerInvariant(t *testing.T) {
-	for _, total := range []int{0, 8, 8 << 10, 3 << 20, 10 << 20} {
-		var want int
-		for i, w := range []int{1, 2, 4, 7, 64} {
-			o := Options{Workers: w, Core: core.Options{ChunkBytes: 8 << 10}}
-			sb := o.shardBytes(total, 8)
-			if i == 0 {
-				want = sb
-				continue
-			}
-			if sb != want {
-				t.Fatalf("total=%d: shard size %d at %d workers, %d at 1 worker", total, sb, w, want)
+// TestCompressMatchesSequentialCore is the single-writer guarantee: the
+// pipeline's container equals core.Compress of the same input byte for
+// byte, at every worker count, for both precisions, every preconditioner
+// selection mode, both index modes, and with degraded chunks.
+func TestCompressMatchesSequentialCore(t *testing.T) {
+	panicky, err := faultinject.NewPanicky("pipeline-identity-panic", "zlib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	panicky.PanicEvery = 1 // every chunk degrades, whatever worker runs it
+	type config struct {
+		name string
+		opts core.Options
+	}
+	var configs []config
+	for _, prec := range []core.Precision{core.Float64, core.Float32} {
+		for _, sel := range []precond.SelectionMode{precond.Fixed, precond.APriori, precond.APosteriori} {
+			for _, idx := range []core.IndexMode{core.IndexPerChunk, core.IndexReuse} {
+				configs = append(configs, config{
+					name: fmt.Sprintf("prec%d/sel%d/index%d", prec, sel, idx),
+					opts: core.Options{ChunkBytes: 4 << 10, Precision: prec, IndexMode: idx,
+						Precond: core.PrecondOptions{Selection: sel}},
+				})
 			}
 		}
 	}
+	configs = append(configs, config{"degraded", core.Options{ChunkBytes: 4 << 10, Solver: "pipeline-identity-panic"}})
+	// 4100 elements: 8 full float64 chunks plus a partial one.
+	raw := shardTestData(4100, 5)
+	for _, c := range configs {
+		t.Run(c.name, func(t *testing.T) {
+			want, stats, err := core.CompressWithStats(raw, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.opts.Solver != "" && stats.DegradedChunks != stats.Chunks {
+				t.Fatalf("%d of %d chunks degraded, want all", stats.DegradedChunks, stats.Chunks)
+			}
+			for _, w := range []int{1, 2, 4, 7, 64} {
+				got, err := Compress(raw, Options{Core: c.opts, Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%d workers: pipeline output differs from core.Compress", w)
+				}
+			}
+			dec, err := Decompress(want, Options{Workers: 4})
+			if err != nil || !bytes.Equal(dec, raw) {
+				t.Fatalf("round trip: %v", err)
+			}
+		})
+	}
 }
 
-// TestDefaultOutputBytesWorkerInvariant is the end-to-end version: with
-// ShardBytes left at its default, containers compressed at different worker
-// counts must be byte-identical.
+// TestDefaultOutputBytesWorkerInvariant is the end-to-end version with
+// default options: containers compressed at different worker counts must be
+// byte-identical.
 func TestDefaultOutputBytesWorkerInvariant(t *testing.T) {
 	raw := testData(40_000)
 	var want []byte

@@ -3,9 +3,6 @@ package pipeline
 import (
 	"bytes"
 	"testing"
-
-	"primacy/internal/core"
-	"primacy/internal/precond"
 )
 
 // TestPrecondV3ShardSalvageResync: preconditioned shards embed v3 (PRM3)
@@ -14,16 +11,13 @@ import (
 // still be findable by the lenient resync scan, which locks onto embedded
 // container magics.
 func TestPrecondV3ShardSalvageResync(t *testing.T) {
-	const shardBytes = 64 << 10
-	raw := testData(30_000)
-	opts := Options{
-		ShardBytes: shardBytes,
-		Core: core.Options{
-			ChunkBytes: 16 << 10,
-			Precond:    core.PrecondOptions{Selection: precond.APriori},
-		},
+	const shardBytes = 4096 // the fixture's shard size
+	raw := readFixture(t, "v2", "raw.bin")
+	enc := readFixture(t, "v2", "apriori.prp")
+	dec, err := Decompress(enc, Options{})
+	if err != nil || !bytes.Equal(dec, raw) {
+		t.Fatalf("round trip: %v", err)
 	}
-	enc := roundTrip(t, raw, opts)
 	if !bytes.Contains(enc, []byte("PRM3")) {
 		t.Fatal("preconditioned shards did not produce v3 containers")
 	}
@@ -38,7 +32,7 @@ func TestPrecondV3ShardSalvageResync(t *testing.T) {
 	for i := 8; i < 20; i++ {
 		mut[i] ^= 0xFF
 	}
-	out, rep, err := DecompressSalvage(mut, opts)
+	out, rep, err := DecompressSalvage(mut, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,10 +36,9 @@ func TestPipelineTelemetryEndToEnd(t *testing.T) {
 	raw := testData(6 * chunk / 8) // 6 chunks
 	g := governor.New(0, 1)
 	opts := Options{
-		Workers:    2,
-		ShardBytes: 2 * chunk, // 3 shards
-		Core:       core.Options{ChunkBytes: chunk},
-		Governor:   g,
+		Workers:  2,
+		Core:     core.Options{ChunkBytes: chunk},
+		Governor: g,
 	}
 
 	// Hold the governor's only slot so the first shard must queue: the wait
@@ -65,8 +64,8 @@ func TestPipelineTelemetryEndToEnd(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if v, _ := snap.Counter("primacy_pipeline_shards_total"); v != 3 {
-		t.Errorf("shards_total = %d, want 3", v)
+	if v, _ := snap.Counter("primacy_pipeline_shards_total"); v != 6 {
+		t.Errorf("shards_total = %d, want 6, one per chunk", v)
 	}
 	if v, _ := snap.Counter("primacy_governor_blocked_total"); v < 1 {
 		t.Errorf("governor blocked_total = %d, want >= 1", v)
@@ -125,5 +124,43 @@ func TestDegradedChunkMetric(t *testing.T) {
 	snap := reg.Snapshot()
 	if v, _ := snap.Counter("primacy_core_degraded_chunks_total"); v != 4 {
 		t.Errorf("degraded_chunks_total = %d, want 4", v)
+	}
+}
+
+// The pipeline records exactly the core telemetry a sequential
+// core.Compress of the same input records, plus one shard per chunk.
+func TestPipelineTelemetryMatchesCore(t *testing.T) {
+	reg := enableAll(t)
+	raw := testData(5000)
+	opts := core.Options{ChunkBytes: 4 << 10}
+	if _, err := core.Compress(raw, opts); err != nil {
+		t.Fatal(err)
+	}
+	want := reg.Snapshot()
+	chunks, _ := want.Counter("primacy_core_chunks_total")
+	if _, err := Compress(raw, Options{Core: opts, Workers: 3}); err != nil {
+		t.Fatal(err)
+	}
+	got := reg.Snapshot()
+	for _, name := range []string{
+		"primacy_core_chunks_total",
+		"primacy_core_degraded_chunks_total",
+		"primacy_core_raw_bytes_total",
+		"primacy_core_compressed_bytes_total",
+		"primacy_core_solver_input_bytes_total",
+		"primacy_core_hi_raw_bytes_total",
+		"primacy_core_hi_compressed_bytes_total",
+		"primacy_core_lo_compressible_bytes_total",
+		"primacy_core_lo_compressed_bytes_total",
+		"primacy_core_index_bytes_total",
+	} {
+		w, _ := want.Counter(name)
+		g, _ := got.Counter(name)
+		if g != 2*w {
+			t.Errorf("%s: pipeline added %d, core.Compress %d", name, g-w, w)
+		}
+	}
+	if v, _ := got.Counter("primacy_pipeline_shards_total"); v != chunks {
+		t.Errorf("shards_total = %d, want the chunk count %d", v, chunks)
 	}
 }

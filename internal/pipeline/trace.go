@@ -13,10 +13,6 @@ var ttrc atomic.Pointer[trace.Tracer]
 // EnableTracing routes the parallel runner's spans to t; a nil t disables
 // tracing.
 func EnableTracing(t *trace.Tracer) {
-	if t == nil {
-		ttrc.Store(nil)
-		return
-	}
 	ttrc.Store(t)
 }
 

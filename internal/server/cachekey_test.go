@@ -2,10 +2,13 @@ package server
 
 import (
 	"bytes"
+	"math/rand"
 	"net/http"
 	"testing"
 
+	"primacy/internal/checksum"
 	"primacy/internal/core"
+	"primacy/internal/pipeline"
 )
 
 // TestCompressBytesIdenticalAcrossWorkerCounts is the regression test backing
@@ -32,13 +35,62 @@ func TestCompressBytesIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestCompressCacheKeyOmitsWorkers pins the key shape: two keys for the same
-// body and options are equal by construction (no worker component), so a
-// worker-config change between restarts cannot orphan warm entries.
+// tenant, body and options are equal by construction (no worker component),
+// so a worker-config change between restarts cannot orphan warm entries.
 func TestCompressCacheKeyOmitsWorkers(t *testing.T) {
 	body := testData(100, 3)
 	opts := core.Options{Solver: "zlib", ChunkBytes: 4096}
-	if cacheKey("c", opts, body) != cacheKey("c", opts, body) {
-		t.Fatal("cache key is not a pure function of op, options, and content")
+	if cacheKey("t", "c", opts, body) != cacheKey("t", "c", opts, body) {
+		t.Fatal("cache key is not a pure function of tenant, op, options, and content")
+	}
+	if cacheKey("t", "c", opts, body) == cacheKey("u", "c", opts, body) {
+		t.Fatal("cache key is not tenant-scoped")
+	}
+}
+
+// crc32cCollision finds two distinct 64-byte bodies with one CRC32C by a
+// seeded birthday search (about 2^16-2^17 tries).
+func crc32cCollision(t *testing.T) (a, b []byte) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	seen := map[uint32][]byte{}
+	for i := 0; i < 1<<20; i++ {
+		body := make([]byte, 64)
+		rng.Read(body)
+		sum := checksum.Sum(body)
+		if prev, ok := seen[sum]; ok && !bytes.Equal(prev, body) {
+			return prev, body
+		}
+		seen[sum] = body
+	}
+	t.Fatal("no CRC32C collision found")
+	return nil, nil
+}
+
+// TestCacheKeyResistsCRCCollision: bodies of equal length and equal CRC32C
+// are different cache entries. Once keyed by CRC32C plus length, the second
+// of two such bodies was served the first one's container — across tenants
+// too. Both the other tenant and the same tenant must get a miss and a
+// container of their own data.
+func TestCacheKeyResistsCRCCollision(t *testing.T) {
+	a, b := crc32cCollision(t)
+	_, ts := newTestServer(t, Config{})
+	resp, enc := post(t, ts.URL+"/v1/compress", a, map[string]string{HeaderTenant: "alice"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("alice compress: %d %s", resp.StatusCode, enc)
+	}
+	for _, tenant := range []string{"mallory", "alice"} {
+		resp, enc := post(t, ts.URL+"/v1/compress", b, map[string]string{HeaderTenant: tenant})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s compress: %d %s", tenant, resp.StatusCode, enc)
+		}
+		if got := resp.Header.Get(HeaderCache); got != "miss" {
+			t.Fatalf("%s: cache = %q for a colliding body, want miss", tenant, got)
+		}
+		dec, err := pipeline.Decompress(enc, pipeline.Options{})
+		if err != nil || !bytes.Equal(dec, b) {
+			t.Fatalf("%s received a container that does not decode to its own body (err %v)", tenant, err)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -11,7 +12,6 @@ import (
 	"time"
 
 	"primacy/internal/archive"
-	"primacy/internal/checksum"
 	"primacy/internal/core"
 	"primacy/internal/fairshare"
 	"primacy/internal/pipeline"
@@ -325,17 +325,33 @@ func (s *Server) admit(req *request, weight int64) (func(), error) {
 	return func() { s.adm.Release(weight) }, nil
 }
 
-// cacheKey addresses a work result by operation, options, and content
-// checksum. CRC32C comes from the same integrity layer that frames the
-// containers, so the cache key is free for data the codec will checksum
-// anyway. Worker count is deliberately NOT part of the key: compressed
-// output is byte-identical across worker counts (pipeline shard geometry
-// depends only on input and chunk size) and decompressed output is fully
-// determined by the container bytes, so keying on workers would only split
-// the cache and miss on config changes.
-func cacheKey(op string, opts core.Options, body []byte) string {
-	return fmt.Sprintf("%s:%s:%d:%d:%d:%08x:%d", op, opts.Solver, opts.ChunkBytes,
-		opts.Precond.Selection, opts.Precond.Transform, checksum.Sum(body), len(body))
+// cacheKey addresses a work result by tenant, operation, options, and the
+// SHA-256 of the body. The digest must resist collisions: two bodies with
+// one key would serve one body's result for the other. The tenant scopes
+// every entry, so a hit never tells one tenant what another has sent.
+// Worker count is deliberately NOT part of the key: the pipeline writes the
+// same container as a sequential core.Compress at any worker count, and
+// decompressed output is fully determined by the container bytes.
+func cacheKey(tenant, op string, opts core.Options, body []byte) string {
+	return fmt.Sprintf("%s\x00%s:%s:%d:%d:%d:%x", tenant, op, opts.Solver, opts.ChunkBytes,
+		opts.Precond.Selection, opts.Precond.Transform, sha256.Sum256(body))
+}
+
+// cached serves key from the result cache, computing it with fn at most
+// once at a time under fair-share admission weighted by the body size.
+func (s *Server) cached(req *request, key string, fn func() ([]byte, error)) (*response, error) {
+	out, outcome, err := s.cache.Do(req.ctx, key, func() ([]byte, error) {
+		release, err := s.admit(req, int64(len(req.body)))
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		return fn()
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &response{body: out, cache: outcome, cached: true}, nil
 }
 
 func (s *Server) opCompress(req *request) (*response, error) {
@@ -349,64 +365,40 @@ func (s *Server) opCompress(req *request) (*response, error) {
 	if err != nil {
 		return nil, err
 	}
-	key := cacheKey("c", opts, req.body)
-	out, outcome, err := s.cache.Do(req.ctx, key, func() ([]byte, error) {
-		release, err := s.admit(req, int64(len(req.body)))
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		// Always the pipeline, even at Workers==1: one code path, one
-		// container format, and pooled per-worker codec arenas reused across
-		// requests. Output bytes do not depend on the worker count.
+	// The pipeline writes core.Compress's container at any worker count,
+	// reusing pooled per-worker codec arenas across requests.
+	resp, err := s.cached(req, cacheKey(req.tenant, "c", opts, req.body), func() ([]byte, error) {
 		return pipeline.CompressCtx(req.ctx, req.body, pipeline.Options{Core: opts, Workers: s.cfg.Workers})
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &response{
-		body:   out,
-		cache:  outcome,
-		cached: true,
-		headers: map[string]string{
-			HeaderRatio: fmt.Sprintf("%.4f", float64(len(req.body))/float64(len(out))),
-		},
-	}, nil
+	resp.headers = map[string]string{
+		HeaderRatio: fmt.Sprintf("%.4f", float64(len(req.body))/float64(len(resp.body))),
+	}
+	return resp, nil
 }
 
 func (s *Server) opDecompress(req *request) (*response, error) {
 	if len(req.body) < 4 {
 		return nil, badRequest("body too short to be a PRIMACY container", nil)
 	}
-	opts, err := s.codecOptions(req.r)
-	if err != nil {
+	// The query options do not steer decoding, but are still validated.
+	if _, err := s.codecOptions(req.r); err != nil {
 		return nil, err
 	}
-	// Decompress results are addressed by content alone (zero Options): the
-	// output is fully determined by the container bytes — core and stream
-	// readers take no options, and pipeline options only steer concurrency —
-	// so keying on the request's parsed opts would needlessly split the
-	// cache across ?solver=/?chunk= variants that decode identically.
-	key := cacheKey("d", core.Options{}, req.body)
-	out, outcome, err := s.cache.Do(req.ctx, key, func() ([]byte, error) {
-		release, err := s.admit(req, int64(len(req.body)))
-		if err != nil {
-			return nil, err
-		}
-		defer release()
+	// Decompress results are addressed by tenant and content alone (zero
+	// Options): the output is fully determined by the container bytes, so
+	// keying on the request's parsed opts would needlessly split the cache
+	// across ?solver= variants that decode identically.
+	return s.cached(req, cacheKey(req.tenant, "d", core.Options{}, req.body), func() ([]byte, error) {
 		switch string(req.body[:3]) {
-		case "PRP":
-			return pipeline.DecompressCtx(req.ctx, req.body, pipeline.Options{Core: opts, Workers: s.cfg.Workers})
-		case "PRM":
-			return core.DecompressCtx(req.ctx, req.body)
+		case "PRM", "PRP":
+			return pipeline.DecompressCtx(req.ctx, req.body, pipeline.Options{Workers: s.cfg.Workers})
 		case "PRS":
 			return io.ReadAll(stream.NewReaderCtx(req.ctx, bytes.NewReader(req.body)))
 		default:
 			return nil, badRequest(fmt.Sprintf("unrecognized container magic %q", req.body[:3]), nil)
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &response{body: out, cache: outcome, cached: true}, nil
 }

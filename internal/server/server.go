@@ -205,6 +205,9 @@ func New(cfg Config) (*Server, error) {
 	if _, err := solver.Get(cfg.Solver); err != nil && cfg.Solver != "none" {
 		return nil, fmt.Errorf("server: default solver: %w", err)
 	}
+	if cfg.ChunkBytes > core.MaxChunkBytes {
+		return nil, fmt.Errorf("server: %w: %d bytes", core.ErrChunkTooLarge, cfg.ChunkBytes)
+	}
 	store, recovery, err := durable.Open(cfg.DataDir, durable.Options{
 		NoFsync:      cfg.NoFsync,
 		CompactEvery: cfg.CompactEvery,

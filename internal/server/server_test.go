@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -112,8 +113,12 @@ func TestPipelineWorkersRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compress: %d %s", resp.StatusCode, enc)
 	}
-	if string(enc[:3]) != "PRP" {
-		t.Fatalf("workers>1 should produce a parallel container, got %q", enc[:3])
+	want, err := core.Compress(raw, core.Options{ChunkBytes: 16 * 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, want) {
+		t.Fatalf("workers>1 should produce the sequential core container, got %q", enc[:4])
 	}
 	resp, dec := post(t, ts.URL+"/v1/decompress", enc, nil)
 	if resp.StatusCode != http.StatusOK {
@@ -138,21 +143,17 @@ func TestCompressPrecondParam(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compress: %d %s", resp.StatusCode, plain)
 	}
-	// Compress always emits the parallel container; the embedded first shard
-	// (offset 16: outer magic+count then the shard's len+crc frame) carries
-	// the core container whose version reflects the options.
-	if string(plain[:4]) != "PRP2" {
-		t.Fatalf("plain compress magic %q, want PRP2", plain[:4])
-	}
-	if string(plain[16:20]) != "PRM2" {
-		t.Fatalf("plain first shard magic %q, want PRM2", plain[16:20])
+	// Compress emits the core container, whose version reflects the
+	// options.
+	if string(plain[:4]) != "PRM2" {
+		t.Fatalf("plain compress magic %q, want PRM2", plain[:4])
 	}
 	resp, enc := post(t, ts.URL+"/v1/compress?precond=aposteriori", raw, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("precond compress: %d %s", resp.StatusCode, enc)
 	}
-	if string(enc[16:20]) != "PRM3" {
-		t.Fatalf("precond first shard magic %q, want PRM3", enc[16:20])
+	if string(enc[:4]) != "PRM3" {
+		t.Fatalf("precond compress magic %q, want PRM3", enc[:4])
 	}
 	// Same body, different precond mode: must not be served from the plain
 	// entry's cache slot.
@@ -671,5 +672,13 @@ func checkGoroutinesSettled(t *testing.T, before int) {
 			t.Fatalf("goroutine leak: %d -> %d", before, after)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// A chunk size above what any reader decodes is a startup error, not a
+// stream of unreadable containers.
+func TestNewRejectsOversizedChunk(t *testing.T) {
+	if _, err := New(Config{ChunkBytes: core.MaxChunkBytes + 8}); !errors.Is(err, core.ErrChunkTooLarge) {
+		t.Fatalf("New error = %v, want core.ErrChunkTooLarge", err)
 	}
 }

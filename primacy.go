@@ -176,9 +176,7 @@ func Verify(data []byte) (*CorruptionReport, error) {
 		return nil, fmt.Errorf("primacy: %d-byte input is not a PRIMACY artifact", len(data))
 	}
 	switch string(data[:4]) {
-	case "PRM1", "PRM2", "PRM3":
-		return core.Verify(data)
-	case "PRP1", "PRP2":
+	case "PRM1", "PRM2", "PRM3", "PRP1", "PRP2":
 		return pipeline.Verify(data)
 	case "PRS1", "PRS2":
 		r := stream.NewSalvageReader(bytes.NewReader(data))
@@ -196,22 +194,23 @@ func Verify(data []byte) (*CorruptionReport, error) {
 // ParallelOptions configures the multi-core in-situ pipeline.
 type ParallelOptions = pipeline.Options
 
-// ParallelCompress compresses data across multiple cores, the way an
-// in-situ integration uses the cores of a compute node.
+// ParallelCompress compresses data across multiple cores into the container
+// Compress writes, the way an in-situ integration uses a node's cores.
 func ParallelCompress(data []byte, opts ParallelOptions) ([]byte, error) {
 	return pipeline.Compress(data, opts)
 }
 
 // ParallelCompressCtx is ParallelCompress with cancellation and resource
-// governance: ctx is checked before each shard starts and between the
-// chunks inside each shard, the first worker failure cancels the remaining
-// shards, worker panics surface as *ShardError wrapping *PanicError, and
-// opts.Governor (when set) bounds in-flight memory and concurrency.
+// governance: ctx is checked before each chunk starts, the first worker
+// failure cancels the remaining chunks, worker panics surface as
+// *ShardError wrapping *PanicError, and opts.Governor (when set) bounds
+// in-flight memory and concurrency.
 func ParallelCompressCtx(ctx context.Context, data []byte, opts ParallelOptions) ([]byte, error) {
 	return pipeline.CompressCtx(ctx, data, opts)
 }
 
-// ParallelDecompress reverses ParallelCompress.
+// ParallelDecompress decodes a container's chunks in parallel; it also reads
+// legacy PRP parallel containers.
 func ParallelDecompress(data []byte, opts ParallelOptions) ([]byte, error) {
 	return pipeline.Decompress(data, opts)
 }
@@ -222,7 +221,7 @@ func ParallelDecompressCtx(ctx context.Context, data []byte, opts ParallelOption
 	return pipeline.DecompressCtx(ctx, data, opts)
 }
 
-// ShardError attributes a parallel-path failure to one shard.
+// ShardError attributes a parallel-path failure to one chunk.
 type ShardError = pipeline.ShardError
 
 // PanicError is a worker or codec panic recovered into a structured error,
@@ -264,8 +263,8 @@ func NewRetryReader(ctx context.Context, r io.Reader, p RetryPolicy) io.Reader {
 	return retry.NewReader(ctx, r, p)
 }
 
-// ParallelDecompressSalvage recovers as much of a damaged parallel
-// container as possible, reporting what was lost.
+// ParallelDecompressSalvage recovers as much of a damaged container —
+// core or legacy parallel — as possible, reporting what was lost.
 func ParallelDecompressSalvage(data []byte, opts ParallelOptions) ([]byte, *CorruptionReport, error) {
 	return pipeline.DecompressSalvage(data, opts)
 }

@@ -57,8 +57,7 @@ func TestFacadeStats(t *testing.T) {
 func TestFacadeParallel(t *testing.T) {
 	spec, _ := DatasetByName("msg_lu")
 	raw := spec.GenerateBytes(60_000)
-	opts := ParallelOptions{Workers: 4, ShardBytes: 64 << 10,
-		Core: Options{ChunkBytes: 32 << 10}}
+	opts := ParallelOptions{Workers: 4, Core: Options{ChunkBytes: 32 << 10}}
 	enc, err := ParallelCompress(raw, opts)
 	if err != nil {
 		t.Fatal(err)
