@@ -104,6 +104,14 @@ func main() {
 		fmt.Printf("  telemetry %.2f / %.2f ±%.3f\n", o.TelemetryNsPerOp/1e6, o.TelemetryMedianNsPerOp/1e6, o.TelemetryStddevNsPerOp/1e6)
 		fmt.Printf("  tracing   %.2f / %.2f ±%.3f (%+.1f%% vs disabled)\n",
 			o.TracingNsPerOp/1e6, o.TracingMedianNsPerOp/1e6, o.TracingStddevNsPerOp/1e6, o.TracingOverheadPct())
+		for _, r := range []struct {
+			name string
+			r    *experiments.PairedRatio
+		}{{"telemetry", o.TelemetryRatio}, {"tracing", o.TracingRatio}} {
+			if r.r != nil {
+				fmt.Printf("  %-9s ÷ disabled, paired by round: median %.4f (quartiles %.4f–%.4f)\n", r.name, r.r.Median, r.r.Q1, r.r.Q3)
+			}
+		}
 	}
 }
 

@@ -295,8 +295,6 @@ func (c *cli) runCtx(ctx context.Context, w io.Writer) (err error) {
 	var reg *primacy.Metrics
 	if c.telemDump || c.modelDump || c.metricsAddr != "" {
 		reg = primacy.NewMetrics()
-		primacy.EnableTelemetry(reg)
-		defer primacy.EnableTelemetry(nil)
 	}
 	var tr *primacy.Tracer
 	if c.traceDump || c.modelDump || c.traceOut != "" {
@@ -307,8 +305,8 @@ func (c *cli) runCtx(ctx context.Context, w io.Writer) (err error) {
 				return fmt.Errorf("trace output: %w", ferr)
 			}
 			cfg.Out = tf
-			// Registered before EnableTracing's defer, so tracing is already
-			// off (and no span can race the sink) when the file closes.
+			// By the time the file closes every codec call has returned,
+			// so no span can race the sink.
 			defer func() {
 				if cerr := tf.Close(); cerr != nil && err == nil {
 					err = cerr
@@ -316,14 +314,13 @@ func (c *cli) runCtx(ctx context.Context, w io.Writer) (err error) {
 			}()
 		}
 		tr = primacy.NewTracer(cfg)
-		primacy.EnableTracing(tr)
 		defer func() {
-			primacy.EnableTracing(nil)
 			if serr := tr.Err(); serr != nil && err == nil {
 				err = fmt.Errorf("trace sink: %w", serr)
 			}
 		}()
 	}
+	ctx = primacy.WithObserver(ctx, primacy.NewObserver(reg, tr))
 	if c.metricsAddr != "" {
 		stop, err := c.serveMetrics(w, reg)
 		if err != nil {
@@ -344,7 +341,7 @@ func (c *cli) runCtx(ctx context.Context, w io.Writer) (err error) {
 	}
 	switch {
 	case c.verify:
-		err = c.runVerify(w, data)
+		err = c.runVerify(ctx, w, data)
 	case c.telemDump:
 		err = c.runDump(ctx, w, data, reg.WriteText)
 	case c.traceDump:
@@ -510,8 +507,8 @@ func baselineMBs(p primacy.ModelParams, write bool) float64 {
 
 // runVerify checks the integrity of any PRIMACY artifact and reports every
 // detected fault. A corrupt file yields a non-nil error (exit status 1).
-func (c *cli) runVerify(w io.Writer, data []byte) error {
-	rep, err := primacy.Verify(data)
+func (c *cli) runVerify(ctx context.Context, w io.Writer, data []byte) error {
+	rep, err := primacy.Verify(ctx, data)
 	if err != nil {
 		return err
 	}
@@ -525,7 +522,8 @@ func (c *cli) runVerify(w io.Writer, data []byte) error {
 func (c *cli) runCompress(ctx context.Context, w io.Writer, data []byte) error {
 	opts := c.options()
 	if c.showStats {
-		_, stats, err := primacy.CompressWithStats(data, opts)
+		var codec core.Codec
+		_, stats, err := codec.CompressWithStatsCtx(ctx, data, opts)
 		if err != nil {
 			return err
 		}
@@ -589,7 +587,7 @@ func (c *cli) decode(ctx context.Context, data []byte) ([]byte, *primacy.Corrupt
 	switch kind {
 	case "PRS":
 		if c.salvage {
-			r := primacy.NewSalvageStreamReader(bytes.NewReader(data))
+			r := primacy.NewSalvageStreamReader(ctx, bytes.NewReader(data))
 			dec, err := io.ReadAll(r)
 			return dec, r.Report(), err
 		}
@@ -601,19 +599,19 @@ func (c *cli) decode(ctx context.Context, data []byte) ([]byte, *primacy.Corrupt
 			if err != nil {
 				return nil, rep, err
 			}
-			dec, err := archiveBytes(r, rep)
+			dec, err := archiveBytes(ctx, r, rep)
 			return dec, rep, err
 		}
 		r, err := primacy.NewArchiveReader(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return nil, nil, err
 		}
-		dec, err := archiveBytes(r, nil)
+		dec, err := archiveBytes(ctx, r, nil)
 		return dec, nil, err
 	default:
 		popts := primacy.ParallelOptions{Workers: c.workers}
 		if c.salvage {
-			return primacy.ParallelDecompressSalvage(data, popts)
+			return primacy.ParallelDecompressSalvage(ctx, data, popts)
 		}
 		dec, err := primacy.ParallelDecompressCtx(ctx, data, popts)
 		return dec, nil, err
@@ -623,11 +621,11 @@ func (c *cli) decode(ctx context.Context, data []byte) ([]byte, *primacy.Corrupt
 // archiveBytes concatenates every archive entry (variables sorted, steps
 // ascending) as big-endian float64 bytes. With a non-nil report, entries
 // that fail to decode are recorded and skipped instead of aborting.
-func archiveBytes(r *primacy.ArchiveReader, rep *primacy.CorruptionReport) ([]byte, error) {
+func archiveBytes(ctx context.Context, r *primacy.ArchiveReader, rep *primacy.CorruptionReport) ([]byte, error) {
 	var out []byte
 	for _, name := range r.Variables() {
 		for _, step := range r.Steps(name) {
-			values, err := r.GetFloat64s(name, step)
+			values, err := r.GetFloat64s(ctx, name, step)
 			if err != nil {
 				if rep == nil {
 					return nil, err

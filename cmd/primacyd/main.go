@@ -72,19 +72,12 @@ func run(args []string) int {
 		return 2
 	}
 
-	// One process-wide registry: the codec stack reports into it via the
-	// facade, the server adds its own primacyd_* series, and /metrics serves
-	// the union.
+	// The server hands its registry and flight recorder to everything it
+	// builds: the codec stack reports next to the server's own primacyd_*
+	// series, /metrics serves the union, request spans nest the admission
+	// and codec spans, and /statusz shows the anomaly tail.
 	metrics := primacy.NewMetrics()
-	primacy.EnableTelemetry(metrics)
-	defer primacy.EnableTelemetry(nil)
-
-	// One process-wide flight recorder: request spans from the server nest
-	// admission/codec spans recorded through the facade, and /statusz shows
-	// the anomaly tail.
 	tracer := primacy.NewTracer(primacy.TraceConfig{})
-	primacy.EnableTracing(tracer)
-	defer primacy.EnableTracing(nil)
 
 	srv, err := server.New(server.Config{
 		Solver:             *solver,

@@ -2,6 +2,7 @@ package primacy
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -62,19 +63,19 @@ func buildArtifacts(t *testing.T) map[string][]byte {
 func TestFacadeVerifyAllFormats(t *testing.T) {
 	for kind, enc := range buildArtifacts(t) {
 		t.Run(kind, func(t *testing.T) {
-			rep, err := Verify(enc)
+			rep, err := Verify(context.Background(), enc)
 			if err != nil || !rep.Clean() {
 				t.Fatalf("clean %s artifact flagged: %v / %v", kind, err, rep)
 			}
 			mut := append([]byte(nil), enc...)
 			mut[2*len(mut)/3] ^= 0x04
-			rep, err = Verify(mut)
+			rep, err = Verify(context.Background(), mut)
 			if err == nil && rep.Clean() {
 				t.Fatalf("corrupt %s artifact passed Verify", kind)
 			}
 		})
 	}
-	if _, err := Verify([]byte("garbage bytes here")); err == nil {
+	if _, err := Verify(context.Background(), []byte("garbage bytes here")); err == nil {
 		t.Fatal("Verify accepted a non-PRIMACY input")
 	}
 }
@@ -93,7 +94,7 @@ func TestFacadeSalvage(t *testing.T) {
 	if _, err := Decompress(mut); err == nil {
 		t.Fatal("strict decode accepted corrupt container")
 	}
-	dec, rep, err := DecompressSalvage(mut)
+	dec, rep, err := DecompressSalvage(context.Background(), mut)
 	if err != nil {
 		t.Fatal(err)
 	}

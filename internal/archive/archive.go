@@ -34,6 +34,7 @@ import (
 	"primacy/internal/bytesplit"
 	"primacy/internal/checksum"
 	"primacy/internal/core"
+	"primacy/internal/obs"
 	"primacy/internal/retry"
 	"primacy/internal/trace"
 )
@@ -83,6 +84,7 @@ func entryHeaderLen(name string) int { return 4 + 2 + len(name) + 4 + 8 + 4 }
 // then mis-describe). A successful Close is idempotent.
 type Writer struct {
 	ctx    context.Context
+	m      *archMetrics
 	dst    io.Writer
 	opts   core.Options
 	pos    uint64
@@ -113,7 +115,8 @@ func NewWriterCtx(ctx context.Context, dst io.Writer, opts core.Options) (*Write
 }
 
 // NewWriterWith is the fully-configured constructor: cancellation via ctx
-// and transient-sink retries via wopts.Retry.
+// and transient-sink retries via wopts.Retry. The writer reports to the
+// observer ctx carries.
 func NewWriterWith(ctx context.Context, dst io.Writer, wopts WriterOptions) (*Writer, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -125,7 +128,7 @@ func NewWriterWith(ctx context.Context, dst io.Writer, wopts WriterOptions) (*Wr
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{ctx: ctx, dst: dst, opts: wopts.Core, pos: uint64(n)}, nil
+	return &Writer{ctx: ctx, m: archBundle.Of(obs.From(ctx)), dst: dst, opts: wopts.Core, pos: uint64(n)}, nil
 }
 
 // PutFloat64s writes one variable for one timestep.
@@ -167,7 +170,7 @@ func (w *Writer) put(name string, step int, values []float64) (err error) {
 	if err := w.ctx.Err(); err != nil {
 		return err
 	}
-	es := startSpan(trace.SpanFromContext(w.ctx), "archive.entry.put").
+	es := obs.Start(w.ctx, "archive.entry.put").
 		AttrStr("name", name).
 		Attr("step", int64(step)).
 		Attr("raw_bytes", int64(len(values)*8))
@@ -194,10 +197,8 @@ func (w *Writer) put(name string, step int, values []float64) (err error) {
 	if _, err := w.dst.Write(frame); err != nil {
 		return err
 	}
-	if m := tmet.Load(); m != nil {
-		m.entriesWritten.Inc()
-		m.entryBytes.Add(int64(len(frame)))
-	}
+	w.m.entriesWritten.Inc()
+	w.m.entryBytes.Add(int64(len(frame)))
 	w.toc = append(w.toc, tocEntry{
 		Name:   name,
 		Step:   uint32(step),
@@ -475,11 +476,13 @@ func parseEntryHeader(b []byte) (entryHeader, error) {
 	return h, nil
 }
 
-// GetFloat64s reads one variable at one timestep.
-func (r *Reader) GetFloat64s(name string, step int) (_ []float64, err error) {
+// GetFloat64s reads one variable at one timestep. ctx bounds the decode
+// (checked between chunks); the read reports to the observer ctx carries,
+// and its archive.entry.get span nests under the span ctx carries.
+func (r *Reader) GetFloat64s(ctx context.Context, name string, step int) (_ []float64, err error) {
 	for _, e := range r.toc {
 		if e.Name == name && int(e.Step) == step {
-			es := startSpan(trace.Span{}, "archive.entry.get").
+			es := obs.Start(ctx, "archive.entry.get").
 				AttrStr("name", name).
 				Attr("step", int64(step)).
 				Attr("raw_bytes", int64(e.RawLen))
@@ -488,7 +491,11 @@ func (r *Reader) GetFloat64s(name string, step int) (_ []float64, err error) {
 			if err != nil {
 				return nil, err
 			}
-			values, err := core.DecompressFloat64s(body)
+			raw, err := core.DecompressCtx(trace.ContextWithSpan(ctx, es), body)
+			if err != nil {
+				return nil, err
+			}
+			values, err := bytesplit.BytesToFloat64s(raw)
 			if err != nil {
 				return nil, err
 			}
@@ -496,10 +503,9 @@ func (r *Reader) GetFloat64s(name string, step int) (_ []float64, err error) {
 				return nil, fmt.Errorf("%w: %s@%d decoded to %d bytes, TOC says %d",
 					ErrCorrupt, name, step, len(values)*8, e.RawLen)
 			}
-			if m := tmet.Load(); m != nil {
-				m.entriesRead.Inc()
-				m.readBytes.Add(int64(len(values) * 8))
-			}
+			m := archBundle.Of(obs.From(ctx))
+			m.entriesRead.Inc()
+			m.readBytes.Add(int64(len(values) * 8))
 			return values, nil
 		}
 	}

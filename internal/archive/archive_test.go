@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -11,10 +12,10 @@ import (
 )
 
 // writeSample builds an archive with two variables over three steps.
-func writeSample(t *testing.T) ([]byte, map[string][][]float64) {
+func writeSample(ctx context.Context, t *testing.T) ([]byte, map[string][][]float64) {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, core.Options{ChunkBytes: 16 << 10})
+	w, err := NewWriterCtx(ctx, &buf, core.Options{ChunkBytes: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func writeSample(t *testing.T) ([]byte, map[string][][]float64) {
 }
 
 func TestArchiveRoundTrip(t *testing.T) {
-	blob, data := writeSample(t)
+	blob, data := writeSample(context.Background(), t)
 	r, err := NewReader(bytes.NewReader(blob), int64(len(blob)))
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +57,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 			t.Fatalf("%s steps = %v", name, gotSteps)
 		}
 		for step, want := range steps {
-			got, err := r.GetFloat64s(name, step)
+			got, err := r.GetFloat64s(context.Background(), name, step)
 			if err != nil {
 				t.Fatalf("%s@%d: %v", name, step, err)
 			}
@@ -73,15 +74,15 @@ func TestArchiveRoundTrip(t *testing.T) {
 }
 
 func TestArchiveNotFound(t *testing.T) {
-	blob, _ := writeSample(t)
+	blob, _ := writeSample(context.Background(), t)
 	r, err := NewReader(bytes.NewReader(blob), int64(len(blob)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.GetFloat64s("pressure", 0); !errors.Is(err, ErrNotFound) {
+	if _, err := r.GetFloat64s(context.Background(), "pressure", 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
-	if _, err := r.GetFloat64s("temperature", 99); !errors.Is(err, ErrNotFound) {
+	if _, err := r.GetFloat64s(context.Background(), "temperature", 99); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
 	if steps := r.Steps("pressure"); len(steps) != 0 {
@@ -137,7 +138,7 @@ func TestEmptyArchive(t *testing.T) {
 }
 
 func TestReaderCorrupt(t *testing.T) {
-	blob, _ := writeSample(t)
+	blob, _ := writeSample(context.Background(), t)
 	cases := map[string][]byte{
 		"empty":       {},
 		"tiny":        []byte("PAR1"),
@@ -162,7 +163,7 @@ func zeroTrailerOffset(blob []byte) []byte {
 }
 
 func TestPayloadBitFlipDetected(t *testing.T) {
-	blob, _ := writeSample(t)
+	blob, _ := writeSample(context.Background(), t)
 	// Flip a byte inside a zlib stream (its Adler-32 must catch it). Find
 	// the first zlib header (0x78 0x9C) and damage well inside the stream.
 	target := -1
@@ -184,7 +185,7 @@ func TestPayloadBitFlipDetected(t *testing.T) {
 	anyErr := false
 	for _, name := range r.Variables() {
 		for _, step := range r.Steps(name) {
-			if _, err := r.GetFloat64s(name, step); err != nil {
+			if _, err := r.GetFloat64s(context.Background(), name, step); err != nil {
 				anyErr = true
 			}
 		}

@@ -185,7 +185,7 @@ func TestWriterRetryRecoversTransientSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := r.GetFloat64s("temperature", 3)
+	dec, err := r.GetFloat64s(context.Background(), "temperature", 3)
 	if err != nil {
 		t.Fatal(err)
 	}

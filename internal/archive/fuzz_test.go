@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"primacy/internal/core"
@@ -34,17 +35,17 @@ func FuzzDecompress(f *testing.F) {
 		if r, err := NewReader(bytes.NewReader(data), size); err == nil {
 			for _, name := range r.Variables() {
 				for _, step := range r.Steps(name) {
-					_, _ = r.GetFloat64s(name, step)
+					_, _ = r.GetFloat64s(context.Background(), name, step)
 				}
 			}
 		}
-		if _, err := Verify(bytes.NewReader(data), size); err != nil {
+		if _, err := Verify(context.Background(), bytes.NewReader(data), size); err != nil {
 			t.Fatalf("Verify must report via the CorruptionReport, got error: %v", err)
 		}
 		if r, _, err := OpenSalvage(bytes.NewReader(data), size); err == nil {
 			for _, name := range r.Variables() {
 				for _, step := range r.Steps(name) {
-					_, _ = r.GetFloat64s(name, step)
+					_, _ = r.GetFloat64s(context.Background(), name, step)
 				}
 			}
 		}

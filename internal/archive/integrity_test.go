@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -50,7 +51,7 @@ func readAllEntries(blob []byte, want map[string][][]float64) error {
 	}
 	for name, steps := range want {
 		for step := range steps {
-			if _, err := r.GetFloat64s(name, step); err != nil {
+			if _, err := r.GetFloat64s(context.Background(), name, step); err != nil {
 				return err
 			}
 		}
@@ -85,7 +86,7 @@ func TestV1ArchiveDecodes(t *testing.T) {
 		{"temp", 1, 500, 1000},
 		{"pressure", 0, 1000, 2000},
 	} {
-		got, err := r.GetFloat64s(e.name, e.step)
+		got, err := r.GetFloat64s(context.Background(), e.name, e.step)
 		if err != nil {
 			t.Fatalf("%s@%d: %v", e.name, e.step, err)
 		}
@@ -117,7 +118,7 @@ func TestCorruptionBattery(t *testing.T) {
 			// length) legitimately read clean.
 			t.Fatalf("%s: read clean despite mutation", m.Name)
 		}
-		if _, err := Verify(bytes.NewReader(m.Data), int64(len(m.Data))); err != nil {
+		if _, err := Verify(context.Background(), bytes.NewReader(m.Data), int64(len(m.Data))); err != nil {
 			t.Fatalf("%s: Verify errored: %v", m.Name, err)
 		}
 		// OpenSalvage may fail (nothing recoverable) but must not panic.
@@ -151,7 +152,7 @@ func TestSalvageDroppedEntry(t *testing.T) {
 			if name == victim.Name && step == int(victim.Step) {
 				continue
 			}
-			got, err := sal.GetFloat64s(name, step)
+			got, err := sal.GetFloat64s(context.Background(), name, step)
 			if err != nil {
 				t.Fatalf("%s@%d lost by salvage: %v", name, step, err)
 			}
@@ -183,7 +184,7 @@ func TestSalvageRebuildsTOC(t *testing.T) {
 	}
 	for name, steps := range data {
 		for step, want := range steps {
-			got, err := sal.GetFloat64s(name, step)
+			got, err := sal.GetFloat64s(context.Background(), name, step)
 			if err != nil {
 				t.Fatalf("%s@%d not recovered from rebuilt TOC: %v", name, step, err)
 			}
@@ -220,7 +221,7 @@ func TestSalvageV1BareContainers(t *testing.T) {
 	if sal.NumEntries() != 3 {
 		t.Fatalf("recovered %d entries, want 3", sal.NumEntries())
 	}
-	got, err := sal.GetFloat64s("recovered-0", 0)
+	got, err := sal.GetFloat64s(context.Background(), "recovered-0", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,12 +234,12 @@ func TestSalvageV1BareContainers(t *testing.T) {
 // corrupt ones.
 func TestVerifyArchive(t *testing.T) {
 	blob, _ := writeSmall(t)
-	rep, err := Verify(bytes.NewReader(blob), int64(len(blob)))
+	rep, err := Verify(context.Background(), bytes.NewReader(blob), int64(len(blob)))
 	if err != nil || !rep.Clean() {
 		t.Fatalf("clean archive flagged: %v / %v", err, rep)
 	}
 	mut := faultinject.FlipBit(blob, (len(blob)/3)*8)
-	rep, err = Verify(bytes.NewReader(mut), int64(len(mut)))
+	rep, err = Verify(context.Background(), bytes.NewReader(mut), int64(len(mut)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"testing"
 
@@ -58,7 +59,7 @@ func TestPrecondV3ArchiveSalvageRebuild(t *testing.T) {
 	}
 	for name, steps := range data {
 		for step, want := range steps {
-			got, err := sal.GetFloat64s(name, step)
+			got, err := sal.GetFloat64s(context.Background(), name, step)
 			if err != nil {
 				t.Fatalf("%s@%d not recovered from rebuilt TOC: %v", name, step, err)
 			}

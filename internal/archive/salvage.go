@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 
@@ -130,8 +131,9 @@ func nextEntryOrContainer(buf []byte, from int) int {
 // Verify checks an archive's integrity end to end: trailer, TOC checksum,
 // per-entry checksums, and a full verify of every embedded container. The
 // report lists every detected fault; a nil error does not mean the archive
-// is clean — check CorruptionReport.Clean.
-func Verify(src io.ReaderAt, size int64) (*core.CorruptionReport, error) {
+// is clean — check CorruptionReport.Clean. The container verifies report
+// to the observer ctx carries.
+func Verify(ctx context.Context, src io.ReaderAt, size int64) (*core.CorruptionReport, error) {
 	rep := &core.CorruptionReport{}
 	var magic [4]byte
 	if _, err := src.ReadAt(magic[:], 0); err == nil {
@@ -170,7 +172,7 @@ func Verify(src io.ReaderAt, size int64) (*core.CorruptionReport, error) {
 			body = enc[hdr.len:]
 			bodyOff = hdr.len
 		}
-		subRep, verr := core.Verify(body)
+		subRep, verr := core.Verify(ctx, body)
 		if verr != nil {
 			rep.Add(int(e.Offset)+bodyOff, i, verr)
 			continue

@@ -1,14 +1,12 @@
 package archive
 
 import (
-	"sync/atomic"
-
+	"primacy/internal/obs"
 	"primacy/internal/telemetry"
 )
 
-// archMetrics bundles the archive container's telemetry handles. The bundle
-// pointer is loaded once per entry, so the disabled path costs one atomic
-// load + nil check.
+// archMetrics bundles the archive container's telemetry handles, looked up
+// once per writer or read from the context's observer.
 type archMetrics struct {
 	entriesWritten *telemetry.Counter
 	entryBytes     *telemetry.Counter
@@ -16,19 +14,11 @@ type archMetrics struct {
 	readBytes      *telemetry.Counter
 }
 
-var tmet atomic.Pointer[archMetrics]
-
-// EnableTelemetry registers the archive metrics on r and starts recording; a
-// nil r disables recording.
-func EnableTelemetry(r *telemetry.Registry) {
-	if r == nil {
-		tmet.Store(nil)
-		return
-	}
-	tmet.Store(&archMetrics{
+var archBundle = obs.NewBundle(func(r *telemetry.Registry) *archMetrics {
+	return &archMetrics{
 		entriesWritten: r.Counter("primacy_archive_entries_written_total", "Entries appended to archives."),
 		entryBytes:     r.Counter("primacy_archive_entry_bytes_total", "Framed entry bytes written to archives."),
 		entriesRead:    r.Counter("primacy_archive_entries_read_total", "Entries decoded from archives."),
 		readBytes:      r.Counter("primacy_archive_read_bytes_total", "Decompressed bytes returned by archive reads."),
-	})
-}
+	}
+})

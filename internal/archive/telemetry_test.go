@@ -2,8 +2,10 @@ package archive
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
+	"primacy/internal/obs"
 	"primacy/internal/telemetry"
 )
 
@@ -11,10 +13,9 @@ import (
 // directions.
 func TestArchiveTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	EnableTelemetry(reg)
-	t.Cleanup(func() { EnableTelemetry(nil) })
+	ctx := obs.With(context.Background(), obs.New(reg, nil))
 
-	enc, data := writeSample(t) // 2 variables x 3 steps
+	enc, data := writeSample(ctx, t) // 2 variables x 3 steps
 	r, err := NewReader(bytes.NewReader(enc), int64(len(enc)))
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
@@ -22,7 +23,7 @@ func TestArchiveTelemetry(t *testing.T) {
 	var readBytes int64
 	for name, steps := range data {
 		for step := range steps {
-			values, err := r.GetFloat64s(name, step)
+			values, err := r.GetFloat64s(ctx, name, step)
 			if err != nil {
 				t.Fatalf("GetFloat64s(%s, %d): %v", name, step, err)
 			}

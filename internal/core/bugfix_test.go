@@ -64,7 +64,7 @@ func TestSalvageV1ResyncAcceptsRawChunks(t *testing.T) {
 	// bytes before the record), losing the framing mid-container.
 	hdrOff := cr.offsets[1][0] - 4
 	mut := faultinject.ZeroRegion(enc, hdrOff, 4)
-	dec, rep, err := DecompressSalvage(mut)
+	dec, rep, err := DecompressSalvage(context.Background(), mut)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,13 +13,13 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"time"
 
 	"primacy/internal/bytesplit"
 	"primacy/internal/checksum"
 	"primacy/internal/chunker"
 	"primacy/internal/freq"
 	"primacy/internal/isobar"
+	"primacy/internal/obs"
 	"primacy/internal/precond"
 	"primacy/internal/solver"
 	"primacy/internal/trace"
@@ -447,7 +447,8 @@ type Encoder struct {
 }
 
 // NewEncoder validates opts against data and plans the chunks. The
-// encoder's core.compress span nests under the span ctx carries.
+// encoder reports to the observer ctx carries, and its core.compress span
+// nests under the span ctx carries.
 func NewEncoder(ctx context.Context, data []byte, opts Options) (*Encoder, error) {
 	lay, err := opts.Precision.layout()
 	if err != nil {
@@ -473,7 +474,7 @@ func NewEncoder(ctx context.Context, data []byte, opts Options) (*Encoder, error
 		return nil, err
 	}
 	e := &Encoder{data: data, opts: opts, lay: lay, sv: sv, plan: plan,
-		m:     tmet.Load(),
+		m:     coreBundle.Of(obs.From(ctx)),
 		infos: make([]chunkInfo, plan.NumChunks()),
 	}
 	// The preconditioner layer departs from the classic fixed chain only
@@ -486,7 +487,7 @@ func NewEncoder(ctx context.Context, data []byte, opts Options) (*Encoder, error
 		}
 		magic = magicV3
 	}
-	e.span = startSpan(trace.SpanFromContext(ctx), "core.compress").Attr("raw_bytes", int64(len(data)))
+	e.span = obs.Start(ctx, "core.compress").Attr("raw_bytes", int64(len(data)))
 	name := opts.solverName()
 	out := append(make([]byte, 0, 26+len(name)), magic...)
 	out = append(out, byte(opts.Linearization), byte(opts.Mapping), byte(opts.IndexMode), boolByte(opts.DisableISOBAR),
@@ -542,9 +543,7 @@ func (e *Encoder) EncodeChunk(ctx context.Context, c *Codec, i int) error {
 		chunkSpan.Anomaly(trace.KindDegradedChunk, err.Error())
 	} else if ps != nil {
 		chunkSpan.AttrStr("transform", precond.Name(ci.tid))
-		if e.m != nil {
-			e.m.precondSelected[ci.tid].Add(1) // nil-safe for unregistered IDs
-		}
+		e.m.precondSelected[ci.tid].Add(1) // nil-safe for unregistered IDs
 	}
 	if e.Sequential() {
 		e.prev = ci.index
@@ -613,18 +612,17 @@ func (e *Encoder) Finish() ([]byte, Stats, error) {
 	if loCompIn > 0 {
 		stats.SigmaLo = float64(loCompOut) / float64(loCompIn)
 	}
-	if m := e.m; m != nil {
-		m.chunks.Add(int64(stats.Chunks))
-		m.degraded.Add(int64(stats.DegradedChunks))
-		m.rawBytes.Add(int64(stats.RawBytes))
-		m.compBytes.Add(int64(stats.CompressedBytes))
-		m.solverIn.Add(int64(stats.SolverInputBytes))
-		m.hiRawBytes.Add(int64(hiRaw))
-		m.hiCompBytes.Add(int64(hiComp))
-		m.loCompIn.Add(int64(loCompIn))
-		m.loCompOut.Add(int64(loCompOut))
-		m.indexBytes.Add(int64(stats.IndexBytes))
-	}
+	m := e.m
+	m.chunks.Add(int64(stats.Chunks))
+	m.degraded.Add(int64(stats.DegradedChunks))
+	m.rawBytes.Add(int64(stats.RawBytes))
+	m.compBytes.Add(int64(stats.CompressedBytes))
+	m.solverIn.Add(int64(stats.SolverInputBytes))
+	m.hiRawBytes.Add(int64(hiRaw))
+	m.hiCompBytes.Add(int64(hiComp))
+	m.loCompIn.Add(int64(loCompIn))
+	m.loCompOut.Add(int64(loCompOut))
+	m.indexBytes.Add(int64(stats.IndexBytes))
 	e.span.Attr("compressed_bytes", int64(stats.CompressedBytes)).
 		Attr("chunks", int64(stats.Chunks)).
 		Attr("degraded", int64(stats.DegradedChunks)).
@@ -661,19 +659,19 @@ type chunkInfo struct {
 
 // compressChunk encodes one chunk into a record that aliases sc.enc; the
 // caller must copy it out before the next call reusing the same scratch.
-// m may be nil (telemetry disabled); when set, per-stage wall times and the
-// paper's α₁/α₂ stage decomposition are recorded as histograms. cs is the
-// chunk's trace span (inert when tracing is off); stage child spans hang off
-// it. Stage spans on error paths are deliberately never ended — an un-ended
-// span is dropped, and the chunk-level degraded anomaly carries the fault.
+// Per-stage wall times — the paper's α₁/α₂ stage decomposition — go to
+// ci's seconds, m's stage histograms (nil handles when telemetry is off)
+// and stage child spans of cs (inert when tracing is off), all from one
+// stageClock. Stage spans on error paths are deliberately never ended — an
+// un-ended span is dropped, and the chunk-level degraded anomaly carries
+// the fault.
 // tid is the preconditioner transform ID to record after the flag byte (v3
 // containers); -1 writes the v1/v2 record layout with no transform byte.
 // chunk must already be transformed; its length equals the original because
 // transforms are length-preserving.
 func compressChunk(chunk []byte, sv solver.Compressor, opts Options, lay bytesplit.Layout, prev *freq.Index, sc *scratch, m *coreMetrics, cs trace.Span, tid int) ([]byte, chunkInfo, error) {
 	var ci chunkInfo
-	precStart := time.Now()
-	stageSpan := cs.Child("core.stage.bytesplit")
+	clk := startStages(cs, "core.stage.bytesplit")
 	// When a fresh per-chunk index is certain (ranked mapping with no prior
 	// index to reuse), fuse the histogram into the split: one traversal fills
 	// the hi/lo planes and the 64Ki flat counter together, so BuildIndex
@@ -692,19 +690,11 @@ func compressChunk(chunk []byte, sv solver.Compressor, opts Options, lay bytespl
 	if err != nil {
 		return nil, ci, err
 	}
-	stageSpan.End(nil)
+	ci.precSecs += clk.next(m.splitSeconds, "core.stage.freqmap")
 	sc.hi, sc.lo = hi, lo
-	// splitEnd separates the byte-split stage from the ID-mapping stage in
-	// the telemetry decomposition; the clock is only read when recording.
-	var splitEnd time.Time
-	if m != nil {
-		splitEnd = time.Now()
-		m.splitSeconds.Observe(splitEnd.Sub(precStart).Seconds())
-	}
 	ci.hiRaw = len(hi)
 
 	// High-order path: ID mapping + linearization + solver.
-	stageSpan = cs.Child("core.stage.freqmap")
 	var (
 		ids       []byte
 		indexBlob []byte
@@ -757,31 +747,18 @@ func compressChunk(chunk []byte, sv solver.Compressor, opts Options, lay bytespl
 		}
 		sc.col = ids
 	}
-	ci.precSecs += time.Since(precStart).Seconds()
-	stageSpan.End(nil)
-	if m != nil {
-		m.freqmapSeconds.Observe(time.Since(splitEnd).Seconds())
-	}
-	solverStart := time.Now()
-	stageSpan = cs.Child("core.stage.solver")
+	ci.precSecs += clk.next(m.freqmapSeconds, "core.stage.solver")
 	idsComp, err := solver.CompressTo(sv, sc.idsCmp[:0], ids)
 	if err != nil {
 		return nil, ci, err
 	}
-	stageSpan.End(nil)
+	ci.solverSecs += clk.next(m.solverSeconds, "core.stage.isobar")
 	sc.idsCmp = idsComp
-	d := time.Since(solverStart).Seconds()
-	ci.solverSecs += d
-	if m != nil {
-		m.solverSeconds.Observe(d)
-	}
 	ci.solverInput += len(ids)
 	ci.hiComp = len(idsComp)
 	ci.indexBytes = len(indexBlob)
 
 	// Low-order path: ISOBAR partition + solver on the compressible part.
-	precStart = time.Now()
-	stageSpan = cs.Child("core.stage.isobar")
 	var mask uint64
 	if opts.DisableISOBAR {
 		mask = (1 << uint(lay.LoBytes())) - 1
@@ -799,25 +776,13 @@ func compressChunk(chunk []byte, sv solver.Compressor, opts Options, lay bytespl
 		return nil, ci, err
 	}
 	sc.comp, sc.incomp = comp, incomp
-	d = time.Since(precStart).Seconds()
-	ci.precSecs += d
-	stageSpan.End(nil)
-	if m != nil {
-		m.isobarSeconds.Observe(d)
-	}
-	solverStart = time.Now()
-	stageSpan = cs.Child("core.stage.solver")
+	ci.precSecs += clk.next(m.isobarSeconds, "core.stage.solver")
 	compOut, err := solver.CompressTo(sv, sc.cmpOut[:0], comp)
 	if err != nil {
 		return nil, ci, err
 	}
-	stageSpan.End(nil)
+	ci.solverSecs += clk.next(m.solverSeconds, "")
 	sc.cmpOut = compOut
-	d = time.Since(solverStart).Seconds()
-	ci.solverSecs += d
-	if m != nil {
-		m.solverSeconds.Observe(d)
-	}
 	ci.solverInput += len(comp)
 	// Guard: if the solver expanded the compressible part, store it raw and
 	// clear the mask so decode knows (ISOBAR's no-waste principle). With the
@@ -945,10 +910,10 @@ func DecompressFloat64s(data []byte) ([]float64, error) {
 // the caller must copy the returned chunk out before the next call reusing
 // the same scratch. ver is the container version: v3 records carry a
 // preconditioner transform-ID byte after the flag, and the transform's
-// inverse runs after the merge. m may be nil (telemetry disabled); cs is the
-// chunk's trace span (inert when tracing is off) — stage spans on error
-// paths are dropped un-ended, the caller records the error on the chunk
-// span.
+// inverse runs after the merge. Stage times go to ds, m and stage child
+// spans of cs from one stageClock, as in compressChunk; stage spans on
+// error paths are dropped un-ended, the caller records the error on the
+// chunk span.
 func decompressChunk(rec []byte, ver int, sv solver.Compressor, lin Linearization, mapping IDMapping, lay bytesplit.Layout, prev *freq.Index, ds *DecompStats, sc *scratch, m *coreMetrics, cs trace.Span) ([]byte, *freq.Index, error) {
 	pos := 0
 	readU32 := func() (int, error) {
@@ -1017,8 +982,7 @@ func decompressChunk(rec []byte, ver int, sv solver.Compressor, lin Linearizatio
 	if idsLen < 0 || pos+idsLen > len(rec) {
 		return nil, nil, fmt.Errorf("%w: truncated ID payload", ErrCorrupt)
 	}
-	solverStart := time.Now()
-	stageSpan := cs.Child("core.stage.dec_solver")
+	clk := startStages(cs, "core.stage.dec_solver")
 	// The ID matrix size is claimed up front (n*HiBytes), so the pooled
 	// solver reader decompresses into pre-sized scratch without growth
 	// doubling, up to maxPrealloc until the claim is borne out.
@@ -1026,20 +990,13 @@ func decompressChunk(rec []byte, ver int, sv solver.Compressor, lin Linearizatio
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: ID payload: %v", ErrCorrupt, err)
 	}
-	stageSpan.End(nil)
+	ds.SolverSeconds += clk.next(m.decSolverSeconds, "core.stage.dec_prec")
 	sc.ids = ids
-	d := time.Since(solverStart).Seconds()
-	ds.SolverSeconds += d
-	if m != nil {
-		m.decSolverSeconds.Observe(d)
-	}
 	ds.SolverOutputBytes += len(ids)
 	pos += idsLen
 	if len(ids) != n*lay.HiBytes {
 		return nil, nil, fmt.Errorf("%w: ID matrix %d bytes, want %d", ErrCorrupt, len(ids), n*lay.HiBytes)
 	}
-	precStart := time.Now()
-	stageSpan = cs.Child("core.stage.dec_prec")
 	if lin == LinearizeColumns && len(ids) > 0 {
 		ids, err = bytesplit.AppendDecolumnize(sc.col[:0], ids, lay.HiBytes)
 		if err != nil {
@@ -1067,13 +1024,6 @@ func decompressChunk(rec []byte, ver int, sv solver.Compressor, lin Linearizatio
 	default:
 		return nil, nil, fmt.Errorf("%w: unknown mapping %d", ErrCorrupt, mapping)
 	}
-
-	d = time.Since(precStart).Seconds()
-	ds.PrecSeconds += d
-	stageSpan.End(nil)
-	if m != nil {
-		m.decPrecSeconds.Observe(d)
-	}
 	if pos >= len(rec) {
 		return nil, nil, fmt.Errorf("%w: missing ISOBAR mask", ErrCorrupt)
 	}
@@ -1086,8 +1036,7 @@ func decompressChunk(rec []byte, ver int, sv solver.Compressor, lin Linearizatio
 	if compLen < 0 || pos+compLen > len(rec) {
 		return nil, nil, fmt.Errorf("%w: truncated mantissa payload", ErrCorrupt)
 	}
-	solverStart = time.Now()
-	stageSpan = cs.Child("core.stage.dec_solver")
+	ds.PrecSeconds += clk.next(m.decPrecSeconds, "core.stage.dec_solver")
 	// Expected output size: one column of n bytes per mask bit within the
 	// low-order width (stray high mask bits are rejected by Unpartition).
 	nComp := bits.OnesCount64(mask & (1<<uint(lay.LoBytes()) - 1))
@@ -1095,13 +1044,8 @@ func decompressChunk(rec []byte, ver int, sv solver.Compressor, lin Linearizatio
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: mantissa payload: %v", ErrCorrupt, err)
 	}
-	stageSpan.End(nil)
+	ds.SolverSeconds += clk.next(m.decSolverSeconds, "core.stage.dec_prec")
 	sc.comp = comp
-	d = time.Since(solverStart).Seconds()
-	ds.SolverSeconds += d
-	if m != nil {
-		m.decSolverSeconds.Observe(d)
-	}
 	ds.SolverOutputBytes += len(comp)
 	pos += compLen
 	incompLen, err := readU32()
@@ -1116,8 +1060,6 @@ func decompressChunk(rec []byte, ver int, sv solver.Compressor, lin Linearizatio
 	if pos != len(rec) {
 		return nil, nil, fmt.Errorf("%w: %d trailing bytes in chunk record", ErrCorrupt, len(rec)-pos)
 	}
-	precStart = time.Now()
-	stageSpan = cs.Child("core.stage.dec_prec")
 	lo, err := isobar.AppendUnpartition(sc.lo[:0], comp, incomp, lay.LoBytes(), mask, n)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -1140,11 +1082,6 @@ func decompressChunk(rec []byte, ver int, sv solver.Compressor, lin Linearizatio
 		sc.tchunk = orig
 		chunk = orig
 	}
-	d = time.Since(precStart).Seconds()
-	ds.PrecSeconds += d
-	stageSpan.End(nil)
-	if m != nil {
-		m.decPrecSeconds.Observe(d)
-	}
+	ds.PrecSeconds += clk.next(m.decPrecSeconds, "")
 	return chunk, idx, nil
 }

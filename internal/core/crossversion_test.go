@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -183,11 +184,11 @@ func TestCrossVersionDecodeMatrix(t *testing.T) {
 			if !bytes.Equal(dec, raw) {
 				t.Fatal("strict decode is not byte-identical")
 			}
-			rep, err := Verify(enc)
+			rep, err := Verify(context.Background(), enc)
 			if err != nil || !rep.Clean() {
 				t.Fatalf("verify: err=%v report=%v", err, rep)
 			}
-			sal, rep, err := DecompressSalvage(enc)
+			sal, rep, err := DecompressSalvage(context.Background(), enc)
 			if err != nil || !rep.Clean() || !bytes.Equal(sal, raw) {
 				t.Fatalf("salvage: err=%v clean=%v identical=%v", err, rep.Clean(), bytes.Equal(sal, raw))
 			}

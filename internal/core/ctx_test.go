@@ -163,7 +163,7 @@ func TestRawChunkRandomAccess(t *testing.T) {
 
 func TestDegradedContainerVerifiesClean(t *testing.T) {
 	enc := degradedContainer(t, syntheticDoubles(20_000, 65), 64*1024)
-	rep, err := Verify(enc)
+	rep, err := Verify(context.Background(), enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestDegradedContainerSalvages(t *testing.T) {
 	// that later takes damage loses only the damaged chunks.
 	values := syntheticDoubles(60_000, 66)
 	enc := degradedContainer(t, values, 64*1024)
-	dec, rep, err := DecompressSalvage(enc)
+	dec, rep, err := DecompressSalvage(context.Background(), enc)
 	if err != nil {
 		t.Fatal(err)
 	}

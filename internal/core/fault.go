@@ -77,7 +77,7 @@ func (ps *precondState) pick(chunk []byte) (precond.Transform, error) {
 	var trial precond.TrialFunc
 	if ps.sel.Mode() == precond.APosteriori {
 		trial = func(_ precond.Transform, sample []byte) (int, error) {
-			enc, _, err := compressChunk(sample, ps.sv, ps.opts, ps.lay, nil, &ps.trialSC, nil, trace.Span{}, -1)
+			enc, _, err := compressChunk(sample, ps.sv, ps.opts, ps.lay, nil, &ps.trialSC, coreBundle.Of(nil), trace.Span{}, -1)
 			if err != nil {
 				return 0, err
 			}

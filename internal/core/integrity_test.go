@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -118,7 +119,7 @@ func TestSalvageSingleCorruptChunk(t *testing.T) {
 		if _, err := Decompress(mut); err == nil {
 			t.Fatalf("chunk %d corruption not detected by strict decode", victim)
 		}
-		dec, rep, err := DecompressSalvage(mut)
+		dec, rep, err := DecompressSalvage(context.Background(), mut)
 		if err != nil {
 			t.Fatalf("chunk %d: salvage failed entirely: %v", victim, err)
 		}
@@ -164,7 +165,7 @@ func TestSalvageCorruptLengthFieldResyncs(t *testing.T) {
 	// record.
 	hdrOff := cr.offsets[1][0] - 8
 	mut := faultinject.ZeroRegion(enc, hdrOff, 4)
-	dec, rep, err := DecompressSalvage(mut)
+	dec, rep, err := DecompressSalvage(context.Background(), mut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,18 +190,18 @@ func TestVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Verify(enc)
+	rep, err := Verify(context.Background(), enc)
 	if err != nil || !rep.Clean() {
 		t.Fatalf("clean container flagged: %v / %v", err, rep)
 	}
-	rep, err = Verify(faultinject.FlipBit(enc, len(enc)/2*8))
+	rep, err = Verify(context.Background(), faultinject.FlipBit(enc, len(enc)/2*8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Clean() {
 		t.Fatal("corrupt container reported clean")
 	}
-	if _, err := Verify([]byte("not a container")); err == nil {
+	if _, err := Verify(context.Background(), []byte("not a container")); err == nil {
 		t.Fatal("garbage accepted by Verify")
 	}
 }

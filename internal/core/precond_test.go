@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -92,7 +93,7 @@ func TestPrecondRoundTripAllModes(t *testing.T) {
 				t.Fatalf("%s/%s: random-access mismatch", cfgName, dataName)
 			}
 			// Salvage on an intact v3 container must recover everything.
-			sal, rep, err := DecompressSalvage(enc)
+			sal, rep, err := DecompressSalvage(context.Background(), enc)
 			if err != nil || !rep.Clean() || !bytes.Equal(sal, data) {
 				t.Fatalf("%s/%s: salvage = clean:%v err:%v", cfgName, dataName, rep.Clean(), err)
 			}

@@ -7,6 +7,7 @@ import (
 
 	"primacy/internal/bytesplit"
 	"primacy/internal/freq"
+	"primacy/internal/obs"
 	"primacy/internal/solver"
 	"primacy/internal/trace"
 )
@@ -136,8 +137,9 @@ func (r *ChunkReader) DecodeChunk(i int) ([]byte, error) {
 
 // DecodeChunkCtx decodes self-contained chunk i with c's scratch into a new
 // buffer, allocated only once the chunk has decoded, so a chunk's raw
-// length claim never sizes memory on its own. Its core.chunk.decode span
-// nests under the span ctx carries. Safe for concurrent use with distinct
+// length claim never sizes memory on its own. It reports to the observer
+// ctx carries, and its core.chunk.decode span nests under the span ctx
+// carries. Safe for concurrent use with distinct
 // Codecs.
 func (r *ChunkReader) DecodeChunkCtx(ctx context.Context, c *Codec, i int) ([]byte, error) {
 	if i < 0 || i >= len(r.offsets) {
@@ -146,18 +148,16 @@ func (r *ChunkReader) DecodeChunkCtx(ctx context.Context, c *Codec, i int) ([]by
 	if r.needsPrev(i) {
 		return nil, fmt.Errorf("core: chunk %d has no index (IndexReuse container); decode sequentially", i)
 	}
-	m := tmet.Load()
+	m := coreBundle.Of(obs.From(ctx))
 	var ds DecompStats
-	cs := startSpan(trace.SpanFromContext(ctx), "core.chunk.decode").Attr("chunk", int64(i))
+	cs := obs.Start(ctx, "core.chunk.decode").Attr("chunk", int64(i))
 	chunk, _, err := r.decode(i, nil, &ds, &c.sc, m, cs)
 	cs.End(err)
 	if err != nil {
 		return nil, err
 	}
-	if m != nil {
-		m.decBytes.Add(int64(len(chunk)))
-		m.decSolverBytes.Add(int64(ds.SolverOutputBytes))
-	}
+	m.decBytes.Add(int64(len(chunk)))
+	m.decSolverBytes.Add(int64(ds.SolverOutputBytes))
 	return append([]byte(nil), chunk...), nil
 }
 
@@ -166,8 +166,8 @@ func (r *ChunkReader) DecodeChunkCtx(ctx context.Context, c *Codec, i int) ([]by
 // The output grows only as chunks actually decode.
 func (r *ChunkReader) DecodeAll(ctx context.Context, c *Codec) ([]byte, DecompStats, error) {
 	var ds DecompStats
-	m := tmet.Load()
-	cs := startSpan(trace.SpanFromContext(ctx), "core.decompress").
+	m := coreBundle.Of(obs.From(ctx))
+	cs := obs.Start(ctx, "core.decompress").
 		Attr("container_bytes", int64(len(r.data)))
 	out := make([]byte, 0, min(r.RawBytes(), maxPrealloc))
 	var prevIndex *freq.Index
@@ -188,10 +188,8 @@ func (r *ChunkReader) DecodeAll(ctx context.Context, c *Codec) ([]byte, DecompSt
 		out = append(out, chunk...)
 	}
 	ds.RawBytes = len(out)
-	if m != nil {
-		m.decBytes.Add(int64(len(out)))
-		m.decSolverBytes.Add(int64(ds.SolverOutputBytes))
-	}
+	m.decBytes.Add(int64(len(out)))
+	m.decSolverBytes.Add(int64(ds.SolverOutputBytes))
 	cs.Attr("raw_bytes", int64(len(out))).End(nil)
 	return out, ds, nil
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"primacy/internal/freq"
+	"primacy/internal/obs"
 	"primacy/internal/solver"
 	"primacy/internal/trace"
 )
@@ -18,8 +20,9 @@ import (
 // The returned error is non-nil only when nothing is recoverable — the
 // fixed header is unusable or names an unknown solver. A damaged-but-
 // partially-recovered container returns data, a non-clean report, and a nil
-// error.
-func DecompressSalvage(data []byte) ([]byte, *CorruptionReport, error) {
+// error. The salvage reports to the observer ctx carries, and its
+// core.salvage span nests under the span ctx carries.
+func DecompressSalvage(ctx context.Context, data []byte) ([]byte, *CorruptionReport, error) {
 	rep := &CorruptionReport{}
 	h, err := parseHeader(data)
 	if err != nil {
@@ -36,8 +39,8 @@ func DecompressSalvage(data []byte) ([]byte, *CorruptionReport, error) {
 		return nil, rep, err
 	}
 
-	m := tmet.Load()
-	cs := startSpan(trace.Span{}, "core.salvage").Attr("container_bytes", int64(len(data)))
+	m := coreBundle.Of(obs.From(ctx))
+	cs := obs.Start(ctx, "core.salvage").Attr("container_bytes", int64(len(data)))
 	if !h.crcOK {
 		cs.Anomaly(trace.KindSalvageFault, "header checksum mismatch")
 	}
@@ -80,9 +83,7 @@ func DecompressSalvage(data []byte) ([]byte, *CorruptionReport, error) {
 		cs.Anomaly(trace.KindSalvageFault,
 			fmt.Sprintf("recovered %d of %d bytes", len(out), h.total))
 	}
-	if m != nil {
-		m.salvageFaults.Add(int64(len(rep.Corruptions)))
-	}
+	m.salvageFaults.Add(int64(len(rep.Corruptions)))
 	cs.Attr("recovered_bytes", int64(len(out))).
 		Attr("faults", int64(len(rep.Corruptions))).
 		End(nil)
@@ -93,8 +94,8 @@ func DecompressSalvage(data []byte) ([]byte, *CorruptionReport, error) {
 // checksums for v2, plus a full trial decode of every chunk for both
 // versions. It returns a report listing every detected fault (empty when
 // the container is intact). The error is non-nil only when the input is not
-// a PRIMACY container at all.
-func Verify(data []byte) (*CorruptionReport, error) {
-	_, rep, err := DecompressSalvage(data)
+// a PRIMACY container at all. ctx works as in DecompressSalvage.
+func Verify(ctx context.Context, data []byte) (*CorruptionReport, error) {
+	_, rep, err := DecompressSalvage(ctx, data)
 	return rep, err
 }

@@ -1,16 +1,17 @@
 package core
 
 import (
-	"sync/atomic"
+	"time"
 
+	"primacy/internal/obs"
 	"primacy/internal/precond"
 	"primacy/internal/telemetry"
+	"primacy/internal/trace"
 )
 
-// coreMetrics bundles the codec's telemetry handles. The bundle pointer is
-// loaded once per Compress/Decompress call and threaded to the per-chunk
-// functions, so the disabled path costs one atomic load + nil check per call
-// and the per-chunk stage timers are only read when recording is on.
+// coreMetrics bundles the codec's telemetry handles. A call looks its
+// observer's bundle up once and threads it to the per-chunk functions; with
+// no registry every handle is nil and records nothing.
 type coreMetrics struct {
 	// Compression accounting.
 	chunks    *telemetry.Counter
@@ -46,22 +47,14 @@ type coreMetrics struct {
 	precondSelected map[precond.TransformID]*telemetry.Counter
 }
 
-var tmet atomic.Pointer[coreMetrics]
-
-// EnableTelemetry registers the codec's metrics on r and starts recording; a
-// nil r disables recording.
-func EnableTelemetry(r *telemetry.Registry) {
-	if r == nil {
-		tmet.Store(nil)
-		return
-	}
+var coreBundle = obs.NewBundle(func(r *telemetry.Registry) *coreMetrics {
 	precondSel := map[precond.TransformID]*telemetry.Counter{}
 	for _, id := range precond.IDs() {
 		name := precond.Name(id)
 		precondSel[id] = r.Counter("primacy_core_precond_"+name+"_chunks_total",
 			"Chunks written with the "+name+" preconditioner transform.")
 	}
-	tmet.Store(&coreMetrics{
+	return &coreMetrics{
 		precondSelected:  precondSel,
 		chunks:           r.Counter("primacy_core_chunks_total", "Chunks compressed."),
 		degraded:         r.Counter("primacy_core_degraded_chunks_total", "Chunks stored raw after a solver fault."),
@@ -82,5 +75,35 @@ func EnableTelemetry(r *telemetry.Registry) {
 		decSolverSeconds: r.Histogram("primacy_core_decompress_solver_seconds", "Per-call solver decompression time.", nil),
 		decPrecSeconds:   r.Histogram("primacy_core_decompress_prec_seconds", "Per-chunk inverse-preconditioner time.", nil),
 		salvageFaults:    r.Counter("primacy_core_salvage_faults_total", "Faults recorded while salvaging damaged containers."),
-	})
+	}
+})
+
+// stageClock times a chunk's stages with one clock reading per stage
+// boundary. Each reading ends the running stage — its seconds, its
+// histogram observation and its span — and starts the next, so Stats
+// seconds, stage histograms and stage spans agree exactly.
+type stageClock struct {
+	chunk trace.Span // parent of the stage spans
+	at    time.Time  // start of the running stage
+	stage trace.Span // the running stage's span
+}
+
+// startStages starts the chunk's first stage.
+func startStages(chunk trace.Span, name string) stageClock {
+	now := time.Now()
+	return stageClock{chunk: chunk, at: now, stage: chunk.ChildAt(name, now)}
+}
+
+// next ends the running stage, observes its seconds on h and returns them,
+// and starts stage name ("" starts none).
+func (c *stageClock) next(h *telemetry.Histogram, name string) float64 {
+	now := time.Now()
+	d := now.Sub(c.at).Seconds()
+	h.Observe(d)
+	c.stage.EndAt(nil, now)
+	c.at = now
+	if name != "" {
+		c.stage = c.chunk.ChildAt(name, now)
+	}
+	return d
 }

@@ -16,6 +16,7 @@ import (
 
 	"primacy/internal/archive"
 	"primacy/internal/core"
+	"primacy/internal/obs"
 	"primacy/internal/trace"
 )
 
@@ -73,6 +74,9 @@ type Options struct {
 	CompactEvery int
 	// Core configures the codec used to build sealed segments.
 	Core core.Options
+	// Observer receives the store's metrics and spans, from recovery
+	// inside Open onward (nil records nothing).
+	Observer *obs.Observer
 }
 
 // Store is a durable, crash-consistent multi-tenant archive store. All
@@ -85,6 +89,8 @@ type Store struct {
 	fsync        bool
 	compactEvery int
 	copts        core.Options
+	obs          *obs.Observer
+	m            *durMetrics
 
 	mu      sync.Mutex
 	tenants map[string]*tenantState
@@ -139,6 +145,8 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 		fsync:        !opts.NoFsync,
 		compactEvery: opts.CompactEvery,
 		copts:        opts.Core,
+		obs:          opts.Observer,
+		m:            bundle.Of(opts.Observer),
 		tenants:      make(map[string]*tenantState),
 	}
 	if s.fsys == nil {
@@ -232,20 +240,21 @@ func parseSealedGen(name string) (uint64, bool) {
 	return gen, true
 }
 
+// spanCtx returns a context for the store's own background work (recovery,
+// compaction): the archive and codec calls made with it nest under span and
+// report to the store's observer.
+func (s *Store) spanCtx(span trace.Span) context.Context {
+	return trace.ContextWithSpan(obs.With(context.Background(), s.obs), span)
+}
+
 // maybeSync fsyncs f unless fsync is disabled, recording the latency.
 func (s *Store) maybeSync(f File) error {
 	if !s.fsync {
 		return nil
 	}
-	var t0 time.Time
-	m := tmet.Load()
-	if m != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	err := f.Sync()
-	if m != nil {
-		m.fsyncSeconds.Observe(time.Since(t0).Seconds())
-	}
+	s.m.fsyncSeconds.Observe(time.Since(t0).Seconds())
 	return err
 }
 
@@ -263,7 +272,7 @@ func (s *Store) maybeSyncDir(dir string) error {
 func (s *Store) recoverTenant(key, tenant string) (*tenantState, TenantRecovery, error) {
 	tr := TenantRecovery{Tenant: tenant}
 	tdir := filepath.Join(s.dir, key)
-	span := startSpan(trace.Span{}, "durable.recover").AttrStr("tenant", tenant)
+	span := s.obs.Tracer().Start("durable.recover").AttrStr("tenant", tenant)
 	var spanErr error
 	defer func() { span.End(spanErr) }()
 
@@ -293,7 +302,8 @@ func (s *Store) recoverTenant(key, tenant string) (*tenantState, TenantRecovery,
 	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
 
 	ts := &tenantState{name: tenant, dir: tdir, index: make(map[entryKey]int)}
-	m := tmet.Load()
+	m := s.m
+	ctx := s.spanCtx(span)
 
 	// Newest loadable sealed segment wins; anything it supersedes is
 	// removed. A newer generation that fails even salvage is left on disk
@@ -317,20 +327,16 @@ func (s *Store) recoverTenant(key, tenant string) (*tenantState, TenantRecovery,
 			rd = srd
 			tr.Salvaged = true
 			tr.Salvage = srep
-			if m != nil {
-				m.salvagedSeals.Inc()
-			}
+			m.salvagedSeals.Inc()
 			span.Anomaly(trace.KindSalvageFault, fmt.Sprintf("sealed gen %d salvaged (%d faults)", gen, len(srep.Corruptions)))
 		}
 		for _, name := range rd.Variables() {
 			for _, step := range rd.Steps(name) {
-				values, gerr := rd.GetFloat64s(name, step)
+				values, gerr := rd.GetFloat64s(ctx, name, step)
 				if gerr != nil {
 					tr.DroppedSealed++
 					tr.Notes = append(tr.Notes, fmt.Sprintf("sealed entry %s@%d: %v", name, step, gerr))
-					if m != nil {
-						m.droppedSealed.Inc()
-					}
+					m.droppedSealed.Inc()
 					continue
 				}
 				ts.appendEntry(name, step, values)
@@ -371,9 +377,7 @@ func (s *Store) recoverTenant(key, tenant string) (*tenantState, TenantRecovery,
 		k := entryKey{rec.name, rec.step}
 		if _, dup := ts.index[k]; dup {
 			tr.JournalDuplicates++
-			if m != nil {
-				m.replayDups.Inc()
-			}
+			m.replayDups.Inc()
 			continue
 		}
 		ts.appendEntry(rec.name, int(rec.step), rec.values)
@@ -396,10 +400,8 @@ func (s *Store) recoverTenant(key, tenant string) (*tenantState, TenantRecovery,
 	if torn > 0 {
 		tr.TornTailBytes = torn
 		span.Anomaly(trace.KindSalvageFault, fmt.Sprintf("journal torn tail: %d bytes truncated", torn))
-		if m != nil {
-			m.tornTails.Inc()
-			m.tornTailBytes.Add(torn)
-		}
+		m.tornTails.Inc()
+		m.tornTailBytes.Add(torn)
 	}
 	jf, err := s.fsys.OpenFile(jpath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -417,9 +419,7 @@ func (s *Store) recoverTenant(key, tenant string) (*tenantState, TenantRecovery,
 	ts.journal = jf
 	ts.journalLen = goodLen
 	ts.version = 1
-	if m != nil {
-		m.recoveredEnt.Add(int64(len(ts.entries)))
-	}
+	m.recoveredEnt.Add(int64(len(ts.entries)))
 	return ts, tr, nil
 }
 
@@ -548,7 +548,7 @@ func (s *Store) Put(ctx context.Context, tenant, name string, step int, values [
 		return fmt.Errorf("%w: %d bytes", ErrOverBudget, limit)
 	}
 	if ts.journal != nil {
-		span := startSpan(trace.SpanFromContext(ctx), "durable.journal.append").
+		span := s.obs.Start(ctx, "durable.journal.append").
 			AttrStr("tenant", tenant).
 			Attr("raw_bytes", raw)
 		if err := s.appendJournal(ts, name, uint32(step), values); err != nil {
@@ -579,24 +579,19 @@ func (s *Store) appendJournal(ts *tenantState, name string, step uint32, values 
 		s.repairJournal(ts)
 		return fmt.Errorf("durable: journal append: %w", err)
 	}
-	m := tmet.Load()
-	var syncStart time.Time
-	if m != nil && s.fsync {
-		syncStart = time.Now()
-	}
+	syncStart := time.Now()
 	if err := s.maybeSync(ts.journal); err != nil {
 		s.repairJournal(ts)
 		return fmt.Errorf("durable: journal fsync: %w", err)
 	}
 	ts.journalLen += int64(len(ts.scratch))
-	if m != nil {
-		m.journalAppends.Inc()
-		m.journalBytes.Add(int64(len(ts.scratch)))
-		m.appendsByTenant.With(ts.name).Inc()
-		m.bytesByTenant.With(ts.name).Add(int64(len(ts.scratch)))
-		if s.fsync {
-			m.fsyncByTenant.With(ts.name).Observe(time.Since(syncStart).Seconds())
-		}
+	m := s.m
+	m.journalAppends.Inc()
+	m.journalBytes.Add(int64(len(ts.scratch)))
+	m.appendsByTenant.With(ts.name).Inc()
+	m.bytesByTenant.With(ts.name).Add(int64(len(ts.scratch)))
+	if s.fsync {
+		m.fsyncByTenant.With(ts.name).Observe(time.Since(syncStart).Seconds())
 	}
 	return nil
 }
@@ -615,9 +610,7 @@ func (s *Store) repairJournal(ts *tenantState) {
 		ts.failed = fmt.Errorf("syncing repaired journal: %w", err)
 		return
 	}
-	if m := tmet.Load(); m != nil {
-		m.journalRepairs.Inc()
-	}
+	s.m.journalRepairs.Inc()
 }
 
 // Get returns one entry's values (a shared read-only slice).
@@ -701,20 +694,18 @@ func (s *Store) compact(ts *tenantState) (err error) {
 		ts.compactRunning = false
 		ts.mu.Unlock()
 	}()
-	m := tmet.Load()
-	span := startSpan(trace.Span{}, "durable.compact").AttrStr("tenant", ts.name)
+	m := s.m
+	span := s.obs.Tracer().Start("durable.compact").AttrStr("tenant", ts.name)
 	t0 := time.Now()
 	defer func() {
 		span.End(err)
-		if m != nil {
-			if err != nil {
-				m.compactFailures.Inc()
-				m.compactByTenant.With(ts.name, "error").Inc()
-			} else {
-				m.compactions.Inc()
-				m.compactSeconds.Observe(time.Since(t0).Seconds())
-				m.compactByTenant.With(ts.name, "ok").Inc()
-			}
+		if err != nil {
+			m.compactFailures.Inc()
+			m.compactByTenant.With(ts.name, "error").Inc()
+		} else {
+			m.compactions.Inc()
+			m.compactSeconds.Observe(time.Since(t0).Seconds())
+			m.compactByTenant.With(ts.name, "ok").Inc()
 		}
 	}()
 
@@ -745,7 +736,7 @@ func (s *Store) compact(ts *tenantState) (err error) {
 		s.fsys.Remove(tmp)
 		return e
 	}
-	w, err := archive.NewWriter(f, s.copts)
+	w, err := archive.NewWriterCtx(s.spanCtx(span), f, s.copts)
 	if err != nil {
 		return abort(err)
 	}

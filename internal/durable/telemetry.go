@@ -1,14 +1,13 @@
 package durable
 
 import (
-	"sync/atomic"
-
+	"primacy/internal/obs"
 	"primacy/internal/telemetry"
 )
 
-// durMetrics bundles the durable store's telemetry handles. The bundle
-// pointer is loaded once per operation, so the disabled path costs one
-// atomic load + nil check (the same pattern as the other subsystems).
+// durMetrics bundles the durable store's telemetry handles. A store takes
+// its bundle once, from Options.Observer, so recovery inside Open is
+// recorded too; with no registry every handle is nil.
 type durMetrics struct {
 	journalAppends  *telemetry.Counter
 	journalBytes    *telemetry.Counter
@@ -33,16 +32,8 @@ type durMetrics struct {
 	compactByTenant *telemetry.CounterVec
 }
 
-var tmet atomic.Pointer[durMetrics]
-
-// EnableTelemetry registers the durable store's metrics on r and starts
-// recording; a nil r disables recording.
-func EnableTelemetry(r *telemetry.Registry) {
-	if r == nil {
-		tmet.Store(nil)
-		return
-	}
-	tmet.Store(&durMetrics{
+var bundle = obs.NewBundle(func(r *telemetry.Registry) *durMetrics {
+	return &durMetrics{
 		journalAppends:  r.Counter("primacy_durable_journal_appends_total", "Put records appended to tenant journals."),
 		journalBytes:    r.Counter("primacy_durable_journal_bytes_total", "Framed bytes appended to tenant journals."),
 		fsyncSeconds:    r.Histogram("primacy_durable_fsync_seconds", "Wall time of journal fsyncs on the put path.", nil),
@@ -65,5 +56,5 @@ func EnableTelemetry(r *telemetry.Registry) {
 			"Journal fsync wall time on a tenant's put path.", []string{"tenant"}, nil),
 		compactByTenant: r.CounterVec("primacy_durable_tenant_compactions_total",
 			"Compactions attributed to a tenant, by outcome.", []string{"tenant", "outcome"}),
-	})
-}
+	}
+})

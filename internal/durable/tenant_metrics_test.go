@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"primacy/internal/obs"
 	"primacy/internal/telemetry"
 )
 
@@ -11,11 +12,8 @@ import (
 // unlabeled totals count.
 func TestPerTenantVectors(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	EnableTelemetry(reg)
-	defer EnableTelemetry(nil)
-
 	dir := t.TempDir()
-	s, _, err := Open(dir, Options{})
+	s, _, err := Open(dir, Options{Observer: obs.New(reg, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

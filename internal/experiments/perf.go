@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -10,6 +11,7 @@ import (
 
 	"primacy/internal/core"
 	"primacy/internal/datagen"
+	"primacy/internal/obs"
 	"primacy/internal/telemetry"
 	"primacy/internal/trace"
 )
@@ -100,6 +102,12 @@ type OverheadEntry struct {
 	TelemetryStddevNsPerOp float64 `json:"telemetry_stddev_ns_per_op,omitempty"`
 	TracingMedianNsPerOp   float64 `json:"tracing_median_ns_per_op,omitempty"`
 	TracingStddevNsPerOp   float64 `json:"tracing_stddev_ns_per_op,omitempty"`
+	// TelemetryRatio and TracingRatio summarize the per-round paired ratios
+	// telemetry÷disabled and tracing÷disabled. A round times the three
+	// modes back to back, so its ratio cancels drift slower than one round,
+	// which the per-mode spreads above do not (absent in old baselines).
+	TelemetryRatio *PairedRatio `json:"telemetry_ratio,omitempty"`
+	TracingRatio   *PairedRatio `json:"tracing_ratio,omitempty"`
 }
 
 // TracingOverheadPct is the tracing-enabled slowdown relative to disabled,
@@ -251,12 +259,18 @@ func measurePair(sv, ds string, raw []byte, cfg PerfConfig) (PerfEntry, error) {
 	return entry, nil
 }
 
+// overheadRounds is the least number of interleaved rounds MeasureOverhead
+// takes. A full-stream call on a default-size dataset lasts tens of
+// milliseconds, so a sample is one call and the rounds must supply the
+// resolution: 25 per-round ratios give quartiles that mean something.
+const overheadRounds = 25
+
 // MeasureOverhead times the codec with the observability layer off, with
 // telemetry recording, and with tracing, on the first configured dataset.
 // All three modes run the same calibrated fixed rep count per sample, so the
-// comparison is work-for-work rather than whatever-fit-in-the-window. The
-// routing is process-wide state, so this must not run concurrently with
-// other codec users; both layers are restored to disabled on return.
+// comparison is work-for-work rather than whatever-fit-in-the-window. Each
+// mode reports through its own context, so the measurement shares no state
+// with other codec users.
 func MeasureOverhead(cfg PerfConfig) (*OverheadEntry, error) {
 	n := elemCount(cfg.N)
 	ds := PerfDatasets[0]
@@ -270,43 +284,38 @@ func MeasureOverhead(cfg PerfConfig) (*OverheadEntry, error) {
 	raw := spec.GenerateBytes(n)
 	var codec core.Codec
 	opts := core.Options{}
-	compress := func() error {
-		_, err := codec.Compress(raw, opts)
-		return err
+	compressIn := func(ctx context.Context) func() error {
+		return func() error {
+			_, err := codec.CompressCtx(ctx, raw, opts)
+			return err
+		}
 	}
-
-	core.EnableTelemetry(nil)
-	core.EnableTracing(nil)
-	defer core.EnableTelemetry(nil)
-	defer core.EnableTracing(nil)
-	reps, samples, err := fixedShape(cfg, compress)
+	bg := context.Background()
+	reps, samples, err := fixedShape(cfg, compressIn(bg))
 	if err != nil {
 		return nil, err
 	}
-	out := &OverheadEntry{Dataset: ds, RawBytes: len(raw), Reps: reps, Samples: samples}
+	rounds := max(samples, overheadRounds)
+	out := &OverheadEntry{Dataset: ds, RawBytes: len(raw), Reps: reps, Samples: rounds}
 
 	// The modes are interleaved round by round — every round takes one
-	// fixed-work sample of each mode back to back — so slow drift (thermal
-	// throttling, background load) hits all three equally instead of
-	// biasing whichever block ran while the machine was busy. Sequential
-	// blocks are how the old measurement ranked tracing "faster" than
-	// disabled.
-	reg := telemetry.NewRegistry()
-	tr := trace.New(trace.Config{})
+	// fixed-work sample of each mode back to back, starting with a
+	// different mode each round — so slow drift (thermal throttling,
+	// background load) hits all three equally instead of biasing whichever
+	// block ran while the machine was busy. Sequential blocks are how the
+	// old measurement ranked tracing "faster" than disabled.
 	modes := []struct {
-		enter func()
-		exit  func()
-		m     *Measurement
+		op func() error
+		m  *Measurement
 	}{
-		{func() {}, func() {}, &Measurement{Reps: reps}},
-		{func() { core.EnableTelemetry(reg) }, func() { core.EnableTelemetry(nil) }, &Measurement{Reps: reps}},
-		{func() { core.EnableTracing(tr) }, func() { core.EnableTracing(nil) }, &Measurement{Reps: reps}},
+		{compressIn(bg), &Measurement{Reps: reps}},
+		{compressIn(obs.With(bg, obs.New(telemetry.NewRegistry(), nil))), &Measurement{Reps: reps}},
+		{compressIn(obs.With(bg, obs.New(nil, trace.New(trace.Config{})))), &Measurement{Reps: reps}},
 	}
-	for round := 0; round <= samples; round++ {
-		for _, mode := range modes {
-			mode.enter()
-			s, err := measureFixed(reps, 1, compress)
-			mode.exit()
+	for round := 0; round <= rounds; round++ {
+		for k := range modes {
+			mode := modes[(round+k)%len(modes)]
+			s, err := measureFixed(reps, 1, mode.op)
 			if err != nil {
 				return nil, err
 			}
@@ -327,7 +336,26 @@ func MeasureOverhead(cfg PerfConfig) (*OverheadEntry, error) {
 	out.TracingNsPerOp = withTrace.Min()
 	out.TracingMedianNsPerOp = withTrace.Median()
 	out.TracingStddevNsPerOp = withTrace.Stddev()
+	out.TelemetryRatio = pairedRatio(withTelem, disabled)
+	out.TracingRatio = pairedRatio(withTrace, disabled)
 	return out, nil
+}
+
+// PairedRatio summarizes per-round ratios of one mode's sample to the
+// disabled mode's sample of the same round.
+type PairedRatio struct {
+	Median float64 `json:"median"`
+	Q1     float64 `json:"q1"`
+	Q3     float64 `json:"q3"`
+}
+
+// pairedRatio summarizes a's samples over b's, round by round.
+func pairedRatio(a, b Measurement) *PairedRatio {
+	r := Measurement{SamplesN: make([]float64, len(a.SamplesN))}
+	for i := range a.SamplesN {
+		r.SamplesN[i] = a.SamplesN[i] / b.SamplesN[i]
+	}
+	return &PairedRatio{Median: r.Quantile(0.5), Q1: r.Quantile(0.25), Q3: r.Quantile(0.75)}
 }
 
 // Measurement is the result of sampled fixed-work timing: Samples runs of
@@ -350,17 +378,22 @@ func (m Measurement) Min() float64 {
 }
 
 // Median is the middle sample (mean of the middle two for even counts).
-func (m Measurement) Median() float64 {
+func (m Measurement) Median() float64 { return m.Quantile(0.5) }
+
+// Quantile is the q-quantile of the samples, interpolated linearly between
+// the two nearest ranks.
+func (m Measurement) Quantile(q float64) float64 {
 	s := append([]float64(nil), m.SamplesN...)
 	sort.Float64s(s)
-	n := len(s)
-	if n == 0 {
+	if len(s) == 0 {
 		return 0
 	}
-	if n%2 == 1 {
-		return s[n/2]
+	pos := q * float64(len(s)-1)
+	i := int(pos)
+	if i+1 >= len(s) {
+		return s[len(s)-1]
 	}
-	return (s[n/2-1] + s[n/2]) / 2
+	return s[i] + (pos-float64(i))*(s[i+1]-s[i])
 }
 
 // Stddev is the sample standard deviation across samples.
@@ -525,6 +558,11 @@ func (b *PerfBaseline) Check() error {
 			min, median := pair[0], pair[1]
 			if median != 0 && min > median*1.0001 {
 				return fmt.Errorf("experiments: overhead %s min %.0fns exceeds its median %.0fns", name, min, median)
+			}
+		}
+		for name, r := range map[string]*PairedRatio{"telemetry": o.TelemetryRatio, "tracing": o.TracingRatio} {
+			if r != nil && !(r.Q1 > 0 && r.Q1 <= r.Median && r.Median <= r.Q3 && !math.IsInf(r.Q3, 0)) {
+				return fmt.Errorf("experiments: overhead %s ratio quartiles incoherent: %+v", name, *r)
 			}
 		}
 	}

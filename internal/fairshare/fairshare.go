@@ -31,7 +31,7 @@ import (
 	"sync"
 	"time"
 
-	"primacy/internal/telemetry"
+	"primacy/internal/obs"
 	"primacy/internal/trace"
 )
 
@@ -64,6 +64,9 @@ type Config struct {
 	DefaultWeight int
 	// Weights assigns per-tenant fair-share weights (>= 1).
 	Weights map[string]int
+	// Observer receives the admitter's metrics and root fairshare.wait
+	// spans (nil records nothing).
+	Observer *obs.Observer
 }
 
 func (c Config) withDefaults() Config {
@@ -89,6 +92,7 @@ func (c Config) withDefaults() Config {
 // concurrent use. A nil *Admitter admits everything immediately.
 type Admitter struct {
 	cfg Config
+	m   *metrics
 
 	mu       sync.Mutex
 	memUsed  int64
@@ -124,7 +128,7 @@ type waiter struct {
 // New returns an Admitter enforcing cfg (zero fields take the documented
 // defaults).
 func New(cfg Config) *Admitter {
-	return &Admitter{cfg: cfg.withDefaults(), tenants: make(map[string]*tenant)}
+	return &Admitter{cfg: cfg.withDefaults(), m: bundle.Of(cfg.Observer), tenants: make(map[string]*tenant)}
 }
 
 func (a *Admitter) weightOf(name string) float64 {
@@ -164,7 +168,7 @@ func cost(bytes int64) float64 {
 // dispatch grants queued waiters in weighted fair order for as long as the
 // budget admits the next head (lock held). Heads are never skipped:
 // fair order is also the no-starvation order.
-func (a *Admitter) dispatch(m *metrics) {
+func (a *Admitter) dispatch() {
 	for {
 		var next *tenant
 		for _, t := range a.tenants {
@@ -183,13 +187,13 @@ func (a *Admitter) dispatch(m *metrics) {
 		if !a.admits(w.bytes) {
 			return
 		}
-		a.grantLocked(next, w, m)
+		a.grantLocked(next, w)
 	}
 }
 
 // grantLocked admits w (the head of t's queue), advancing the fair-share
 // clock (lock held).
-func (a *Admitter) grantLocked(t *tenant, w *waiter, m *metrics) {
+func (a *Admitter) grantLocked(t *tenant, w *waiter) {
 	a.memUsed += w.bytes
 	a.inFlight++
 	a.clock = t.vtime
@@ -201,11 +205,9 @@ func (a *Admitter) grantLocked(t *tenant, w *waiter, m *metrics) {
 	}
 	w.granted = true
 	close(w.ready)
-	if m != nil {
-		m.queueDepth.Add(-1)
-		m.inFlight.Add(1)
-		m.inFlightBytes.Add(w.bytes)
-	}
+	a.m.queueDepth.Add(-1)
+	a.m.inFlight.Add(1)
+	a.m.inFlightBytes.Add(w.bytes)
 }
 
 // removeLocked unlinks w from its tenant queue (lock held); reports whether
@@ -227,7 +229,7 @@ func (a *Admitter) removeLocked(w *waiter) bool {
 
 // shedOldestLocked drops the oldest waiter of the most-backlogged tenant
 // (lock held). Returns the victim (never nil while anything is queued).
-func (a *Admitter) shedOldestLocked(m *metrics) *waiter {
+func (a *Admitter) shedOldestLocked() *waiter {
 	var worst *tenant
 	for _, t := range a.tenants {
 		if len(t.queue) == 0 {
@@ -245,10 +247,8 @@ func (a *Admitter) shedOldestLocked(m *metrics) *waiter {
 	a.removeLocked(v)
 	v.shed = true
 	close(v.ready)
-	if m != nil {
-		m.shed.Inc()
-		m.queueDepth.Add(-1)
-	}
+	a.m.shed.Inc()
+	a.m.queueDepth.Add(-1)
 	return v
 }
 
@@ -272,7 +272,7 @@ func (a *Admitter) AcquireMeasured(ctx context.Context, tenantName string, bytes
 	if a == nil {
 		return 0, nil
 	}
-	m := tmet.Load()
+	m := a.m
 	bytes = a.clamp(bytes)
 
 	a.mu.Lock()
@@ -284,9 +284,7 @@ func (a *Admitter) AcquireMeasured(ctx context.Context, tenantName string, bytes
 	}
 	if len(t.queue) >= a.cfg.MaxQueuedPerTenant {
 		a.mu.Unlock()
-		if m != nil {
-			m.rejected.Inc()
-		}
+		m.rejected.Inc()
 		return 0, fmt.Errorf("%w (tenant %q, %d queued)", ErrQueueFull, tenantName, a.cfg.MaxQueuedPerTenant)
 	}
 	if !ok {
@@ -295,14 +293,12 @@ func (a *Admitter) AcquireMeasured(ctx context.Context, tenantName string, bytes
 	w := &waiter{tenant: t, bytes: bytes, ready: make(chan struct{})}
 	t.queue = append(t.queue, w)
 	a.queued++
-	if m != nil {
-		m.queueDepth.Add(1)
-	}
+	m.queueDepth.Add(1)
 	// Dispatch in fair order; if capacity is free and this waiter wins, its
 	// ready channel is already closed when we reach the select below.
-	a.dispatch(m)
+	a.dispatch()
 	if !w.granted && a.queued > a.cfg.MaxQueued {
-		a.shedOldestLocked(m)
+		a.shedOldestLocked()
 	}
 	// Snapshot the outcome under the lock: once it is dropped, a concurrent
 	// Release may grant (or a later arrival shed) this waiter at any moment,
@@ -311,23 +307,16 @@ func (a *Admitter) AcquireMeasured(ctx context.Context, tenantName string, bytes
 	a.mu.Unlock()
 
 	if granted {
-		if m != nil {
-			m.admitted.Inc()
-		}
+		m.admitted.Inc()
 		return 0, nil
 	}
 	if shedded {
 		return 0, fmt.Errorf("%w (tenant %q)", ErrShed, tenantName)
 	}
-	if m != nil {
-		m.blocked.Inc()
-	}
+	m.blocked.Inc()
 	waitStart := time.Now()
-	var sp telemetry.Span
-	if m != nil {
-		sp = m.waitSeconds.Start()
-	}
-	ts := startSpan(trace.SpanFromContext(ctx), "fairshare.wait").
+	sp := m.waitSeconds.Start()
+	ts := a.cfg.Observer.Start(ctx, "fairshare.wait").
 		AttrStr("tenant", tenantName).Attr("bytes", bytes)
 	ts.Event(trace.KindGovernorWait, "admission blocked on fair-share budget")
 	select {
@@ -339,9 +328,7 @@ func (a *Admitter) AcquireMeasured(ctx context.Context, tenantName string, bytes
 			ts.End(ErrShed)
 			return wait, fmt.Errorf("%w (tenant %q)", ErrShed, tenantName)
 		}
-		if m != nil {
-			m.admitted.Inc()
-		}
+		m.admitted.Inc()
 		ts.End(nil)
 		return wait, nil
 	case <-ctx.Done():
@@ -351,9 +338,7 @@ func (a *Admitter) AcquireMeasured(ctx context.Context, tenantName string, bytes
 			// A grant raced the cancellation; hand the capacity back before
 			// reporting the cancellation.
 			a.mu.Unlock()
-			if m != nil {
-				m.cancelled.Inc()
-			}
+			m.cancelled.Inc()
 			a.Release(bytes)
 			sp.End()
 			ts.Anomaly(trace.KindGovernorCancelled, "wait cancelled after grant raced cancellation")
@@ -369,10 +354,8 @@ func (a *Admitter) AcquireMeasured(ctx context.Context, tenantName string, bytes
 		}
 		a.removeLocked(w)
 		a.mu.Unlock()
-		if m != nil {
-			m.cancelled.Inc()
-			m.queueDepth.Add(-1)
-		}
+		m.cancelled.Inc()
+		m.queueDepth.Add(-1)
 		sp.End()
 		ts.Anomaly(trace.KindGovernorCancelled, "wait cancelled before admission")
 		ts.End(ctx.Err())
@@ -386,7 +369,6 @@ func (a *Admitter) Release(bytes int64) {
 	if a == nil {
 		return
 	}
-	m := tmet.Load()
 	bytes = a.clamp(bytes)
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -396,11 +378,9 @@ func (a *Admitter) Release(bytes int64) {
 		panic(fmt.Sprintf("fairshare: release without acquire (mem=%d inflight=%d)",
 			a.memUsed, a.inFlight))
 	}
-	if m != nil {
-		m.inFlight.Add(-1)
-		m.inFlightBytes.Add(-bytes)
-	}
-	a.dispatch(m)
+	a.m.inFlight.Add(-1)
+	a.m.inFlightBytes.Add(-bytes)
+	a.dispatch()
 }
 
 // InFlight reports current admissions and admitted bytes.

@@ -1,15 +1,13 @@
 package fairshare
 
 import (
-	"sync/atomic"
-
+	"primacy/internal/obs"
 	"primacy/internal/telemetry"
 )
 
-// metrics bundles the admitter's telemetry handles, mirroring the governor's
-// pattern: handles are registered once at enable time, hot paths load the
-// bundle pointer (one atomic load + nil check) and record through nil-safe
-// handles.
+// metrics bundles the admitter's telemetry handles. An admitter takes its
+// bundle once, from Config.Observer, so Acquire and Release always move the
+// same gauges; with no registry every handle is nil.
 type metrics struct {
 	// admitted counts successful admissions; blocked the subset that had to
 	// queue; cancelled waits abandoned via context.
@@ -28,18 +26,8 @@ type metrics struct {
 	inFlightBytes *telemetry.Gauge
 }
 
-var tmet atomic.Pointer[metrics]
-
-// EnableTelemetry registers the fair-share admitter's metrics on r and
-// starts recording; a nil r disables recording. Enable before admitting work
-// — gauges track deltas, so flipping telemetry mid-flight skews them until
-// in-flight admissions drain.
-func EnableTelemetry(r *telemetry.Registry) {
-	if r == nil {
-		tmet.Store(nil)
-		return
-	}
-	tmet.Store(&metrics{
+var bundle = obs.NewBundle(func(r *telemetry.Registry) *metrics {
+	return &metrics{
 		admitted:      r.Counter("primacy_fairshare_admitted_total", "Admissions granted."),
 		blocked:       r.Counter("primacy_fairshare_blocked_total", "Acquires that queued before admission."),
 		cancelled:     r.Counter("primacy_fairshare_cancelled_total", "Queued acquires abandoned by context cancellation."),
@@ -49,5 +37,5 @@ func EnableTelemetry(r *telemetry.Registry) {
 		queueDepth:    r.Gauge("primacy_fairshare_queue_depth", "Acquires currently queued."),
 		inFlight:      r.Gauge("primacy_fairshare_inflight", "Admissions currently held."),
 		inFlightBytes: r.Gauge("primacy_fairshare_inflight_bytes", "Bytes of input currently admitted."),
-	})
-}
+	}
+})

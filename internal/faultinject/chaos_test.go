@@ -68,7 +68,7 @@ func TestChaosParallelCompress(t *testing.T) {
 	popts := pipeline.Options{
 		Workers:  4,
 		Core:     core.Options{ChunkBytes: 32 * 1024},
-		Governor: governor.New(256*1024, 3),
+		Governor: governor.New(256*1024, 3, nil),
 	}
 	// Happy-path reference: repeated runs must be byte-identical.
 	want, err := pipeline.Compress(data, popts)
@@ -179,7 +179,7 @@ func TestChaosStream(t *testing.T) {
 	}
 	w, err = stream.NewWriterWith(context.Background(), sink, stream.WriterOptions{
 		Core:     opts,
-		Governor: governor.New(8192, 1),
+		Governor: governor.New(8192, 1, nil),
 		Retry:    noWait(),
 	})
 	if err != nil {
@@ -233,7 +233,7 @@ func TestChaosStream(t *testing.T) {
 	if werr == nil {
 		t.Fatal("stream into dying sink succeeded")
 	}
-	sr := stream.NewSalvageReader(bytes.NewReader(partial.Bytes()))
+	sr := stream.NewSalvageReader(context.Background(), bytes.NewReader(partial.Bytes()))
 	sal, err := io.ReadAll(sr)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestChaosStream(t *testing.T) {
 	if _, err := w.Write(raw[8192:]); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	sr = stream.NewSalvageReader(bytes.NewReader(cut.Bytes()))
+	sr = stream.NewSalvageReader(context.Background(), bytes.NewReader(cut.Bytes()))
 	sal, err = io.ReadAll(sr)
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +324,7 @@ func TestSalvageTruncatedByDeadSource(t *testing.T) {
 	if len(truncated) == 0 || len(truncated) >= len(enc) {
 		t.Fatalf("fixture: dead source delivered %d of %d bytes", len(truncated), len(enc))
 	}
-	dec, rep, err := core.DecompressSalvage(truncated)
+	dec, rep, err := core.DecompressSalvage(context.Background(), truncated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestParallelSalvageTruncatedByDeadSource(t *testing.T) {
 	if len(truncated) == 0 || len(truncated) >= len(enc) {
 		t.Fatalf("fixture: dead source delivered %d of %d bytes", len(truncated), len(enc))
 	}
-	dec, rep, err := pipeline.DecompressSalvage(truncated, popts)
+	dec, rep, err := pipeline.DecompressSalvage(context.Background(), truncated, popts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestSalvageThroughFlakyReaderWithRetry(t *testing.T) {
 	src := retry.NewReader(nil, &faultinject.FlakyReader{
 		R: bytes.NewReader(buf.Bytes()), FailEvery: 2,
 	}, noWait())
-	sr := stream.NewSalvageReader(src)
+	sr := stream.NewSalvageReader(context.Background(), src)
 	dec, err := io.ReadAll(sr)
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"sync"
 
-	"primacy/internal/telemetry"
+	"primacy/internal/obs"
 	"primacy/internal/trace"
 )
 
@@ -33,6 +33,10 @@ type Governor struct {
 	inFlight int
 	// waiters holds blocked Acquire calls in arrival order.
 	waiters []*waiter
+
+	// obs receives root governor.wait spans, m the governor's metrics.
+	obs *obs.Observer
+	m   *metrics
 }
 
 type waiter struct {
@@ -43,9 +47,10 @@ type waiter struct {
 
 // New returns a Governor with the given budgets. memBudget is the maximum
 // total bytes admitted at once and maxConcurrent the maximum concurrent
-// admissions; zero (or negative) disables the respective limit.
-func New(memBudget int64, maxConcurrent int) *Governor {
-	g := &Governor{}
+// admissions; zero (or negative) disables the respective limit. The
+// governor reports to o (nil records nothing).
+func New(memBudget int64, maxConcurrent int, o *obs.Observer) *Governor {
+	g := &Governor{obs: o, m: bundle.Of(o)}
 	if memBudget > 0 {
 		g.memBudget = memBudget
 	}
@@ -53,6 +58,15 @@ func New(memBudget int64, maxConcurrent int) *Governor {
 		g.maxConc = maxConcurrent
 	}
 	return g
+}
+
+// metrics returns the governor's bundle; a zero Governor, built without
+// New, records nothing.
+func (g *Governor) metrics() *metrics {
+	if g.m == nil {
+		return bundle.Of(nil)
+	}
+	return g.m
 }
 
 // clamp bounds a request weight to the budget so one oversized request is
@@ -96,40 +110,33 @@ func (g *Governor) Acquire(ctx context.Context, bytes int64) error {
 	if g == nil {
 		return nil
 	}
-	m := tmet.Load()
+	m := g.metrics()
 	bytes = g.clamp(bytes)
 	g.mu.Lock()
 	// Fast path: admitted now, and no earlier waiter is owed the capacity.
 	if len(g.waiters) == 0 && g.admits(bytes) {
 		g.take(bytes)
 		g.mu.Unlock()
-		if m != nil {
-			m.acquires.Inc()
-			m.inFlight.Add(1)
-			m.inFlightBytes.Add(bytes)
-		}
+		m.acquires.Inc()
+		m.inFlight.Add(1)
+		m.inFlightBytes.Add(bytes)
 		return nil
 	}
 	w := &waiter{bytes: bytes, ready: make(chan struct{})}
 	g.waiters = append(g.waiters, w)
 	g.mu.Unlock()
-	var sp telemetry.Span
-	if m != nil {
-		m.blocked.Inc()
-		m.queueDepth.Add(1)
-		sp = m.waitSeconds.Start()
-	}
+	m.blocked.Inc()
+	m.queueDepth.Add(1)
+	sp := m.waitSeconds.Start()
 	// The fast path stays span-free; only an actual wait is worth a trace
 	// record.
-	ts := startSpan(trace.SpanFromContext(ctx), "governor.wait").Attr("bytes", bytes)
+	ts := g.obs.Start(ctx, "governor.wait").Attr("bytes", bytes)
 	ts.Event(trace.KindGovernorWait, "admission blocked on budget")
 	select {
 	case <-w.ready:
 		ts.End(nil)
-		if m != nil {
-			sp.End()
-			m.acquires.Inc()
-		}
+		sp.End()
+		m.acquires.Inc()
 		return nil
 	case <-ctx.Done():
 		g.mu.Lock()
@@ -139,9 +146,7 @@ func (g *Governor) Acquire(ctx context.Context, bytes int64) error {
 			// The granting Release already settled the queue-depth and
 			// in-flight gauges; this Release undoes the in-flight side.
 			g.mu.Unlock()
-			if m != nil {
-				m.cancelled.Inc()
-			}
+			m.cancelled.Inc()
 			g.Release(bytes)
 			ts.Anomaly(trace.KindGovernorCancelled, "wait cancelled after grant raced cancellation")
 			ts.End(ctx.Err())
@@ -154,10 +159,8 @@ func (g *Governor) Acquire(ctx context.Context, bytes int64) error {
 			}
 		}
 		g.mu.Unlock()
-		if m != nil {
-			m.cancelled.Inc()
-			m.queueDepth.Add(-1)
-		}
+		m.cancelled.Inc()
+		m.queueDepth.Add(-1)
 		ts.Anomaly(trace.KindGovernorCancelled, "wait cancelled before admission")
 		ts.End(ctx.Err())
 		return ctx.Err()
@@ -170,7 +173,7 @@ func (g *Governor) Release(bytes int64) {
 	if g == nil {
 		return
 	}
-	m := tmet.Load()
+	m := g.metrics()
 	bytes = g.clamp(bytes)
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -180,10 +183,8 @@ func (g *Governor) Release(bytes int64) {
 		panic(fmt.Sprintf("governor: release without acquire (mem=%d inflight=%d)",
 			g.memUsed, g.inFlight))
 	}
-	if m != nil {
-		m.inFlight.Add(-1)
-		m.inFlightBytes.Add(-bytes)
-	}
+	m.inFlight.Add(-1)
+	m.inFlightBytes.Add(-bytes)
 	for len(g.waiters) > 0 {
 		w := g.waiters[0]
 		if !g.admits(w.bytes) {
@@ -193,11 +194,9 @@ func (g *Governor) Release(bytes int64) {
 		w.granted = true
 		close(w.ready)
 		g.waiters = g.waiters[1:]
-		if m != nil {
-			m.queueDepth.Add(-1)
-			m.inFlight.Add(1)
-			m.inFlightBytes.Add(w.bytes)
-		}
+		m.queueDepth.Add(-1)
+		m.inFlight.Add(1)
+		m.inFlightBytes.Add(w.bytes)
 	}
 }
 

@@ -41,7 +41,7 @@ func TestZeroValueGovernorUnlimited(t *testing.T) {
 }
 
 func TestMemoryBudgetBlocks(t *testing.T) {
-	g := New(100, 0)
+	g := New(100, 0, nil)
 	ctx := context.Background()
 	if err := g.Acquire(ctx, 60); err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestMemoryBudgetBlocks(t *testing.T) {
 }
 
 func TestConcurrencyCapBlocks(t *testing.T) {
-	g := New(0, 2)
+	g := New(0, 2, nil)
 	ctx := context.Background()
 	if err := g.Acquire(ctx, 1); err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestConcurrencyCapBlocks(t *testing.T) {
 func TestFIFOOrder(t *testing.T) {
 	// A large waiter queued first must not be starved by small requests that
 	// would fit: admission is strictly arrival-ordered.
-	g := New(100, 0)
+	g := New(100, 0, nil)
 	ctx := context.Background()
 	if err := g.Acquire(ctx, 100); err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestAcquireCancellation(t *testing.T) {
-	g := New(10, 0)
+	g := New(10, 0, nil)
 	bg := context.Background()
 	if err := g.Acquire(bg, 10); err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestAcquireCancellation(t *testing.T) {
 }
 
 func TestAcquireOnDoneContext(t *testing.T) {
-	g := New(100, 0)
+	g := New(100, 0, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := g.Acquire(ctx, 1); err != context.Canceled {
@@ -165,7 +165,7 @@ func TestAcquireOnDoneContext(t *testing.T) {
 func TestOversizedRequestClamped(t *testing.T) {
 	// A request larger than the whole budget is admitted (alone) rather than
 	// deadlocking; Release applies the same clamp so accounting stays exact.
-	g := New(100, 0)
+	g := New(100, 0, nil)
 	ctx := context.Background()
 	if err := g.Acquire(ctx, 1_000_000); err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestReleaseWithoutAcquirePanics(t *testing.T) {
 			t.Fatal("release without acquire did not panic")
 		}
 	}()
-	New(100, 0).Release(10)
+	New(100, 0, nil).Release(10)
 }
 
 // waitFor polls cond until it holds or the test times out.
@@ -205,7 +205,7 @@ func TestCancelWhileQueuedStormLeaksNothing(t *testing.T) {
 	// must leave the governor with zero waiters, zero reserved capacity, and
 	// zero leaked goroutines, and later acquires must succeed immediately.
 	before := runtime.NumGoroutine()
-	g := New(100, 2)
+	g := New(100, 2, nil)
 	bg := context.Background()
 
 	// Fill the budget so every subsequent acquire queues.

@@ -1,14 +1,13 @@
 package governor
 
 import (
-	"sync/atomic"
-
+	"primacy/internal/obs"
 	"primacy/internal/telemetry"
 )
 
-// metrics bundles the governor's telemetry handles. Handles are registered
-// once at enable time; hot paths load the bundle pointer (one atomic load +
-// nil check) and record through nil-safe handles.
+// metrics bundles the governor's telemetry handles. A governor takes its
+// bundle once, from the observer it is built with, so Acquire and Release
+// always move the same gauges; with no registry every handle is nil.
 type metrics struct {
 	// acquires counts successful admissions; blocked counts the subset that
 	// had to queue; cancelled counts waits abandoned via context.
@@ -25,18 +24,8 @@ type metrics struct {
 	inFlightBytes *telemetry.Gauge
 }
 
-var tmet atomic.Pointer[metrics]
-
-// EnableTelemetry registers the governor's metrics on r and starts
-// recording; a nil r disables recording. Enable before admitting work —
-// gauges track deltas, so flipping telemetry mid-flight skews them until the
-// in-flight admissions drain.
-func EnableTelemetry(r *telemetry.Registry) {
-	if r == nil {
-		tmet.Store(nil)
-		return
-	}
-	tmet.Store(&metrics{
+var bundle = obs.NewBundle(func(r *telemetry.Registry) *metrics {
+	return &metrics{
 		acquires:      r.Counter("primacy_governor_acquires_total", "Admissions granted."),
 		blocked:       r.Counter("primacy_governor_blocked_total", "Acquires that queued before admission."),
 		cancelled:     r.Counter("primacy_governor_cancelled_total", "Queued acquires abandoned by context cancellation."),
@@ -44,5 +33,5 @@ func EnableTelemetry(r *telemetry.Registry) {
 		queueDepth:    r.Gauge("primacy_governor_queue_depth", "Acquires currently queued."),
 		inFlight:      r.Gauge("primacy_governor_inflight", "Admissions currently held."),
 		inFlightBytes: r.Gauge("primacy_governor_inflight_bytes", "Bytes of input currently admitted."),
-	})
-}
+	}
+})

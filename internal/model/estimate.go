@@ -17,8 +17,8 @@ import (
 // predicted compute-side throughput against the observed one yields a
 // residual: how much of the run the Section III decomposition explains.
 
-// Telemetry series consumed by the estimator (registered by
-// internal/core.EnableTelemetry).
+// Telemetry series consumed by the estimator (registered on every
+// observer's registry by internal/core's metric bundle).
 const (
 	mRawBytes       = "primacy_core_raw_bytes_total"
 	mCompBytes      = "primacy_core_compressed_bytes_total"

@@ -1,6 +1,7 @@
 package model_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 
 	"primacy/internal/core"
 	"primacy/internal/model"
+	"primacy/internal/obs"
 	"primacy/internal/telemetry"
 )
 
@@ -35,15 +37,15 @@ func testEnv() model.Params {
 // decomposition approximation indicates a broken fit.
 func TestEstimateFromLiveRoundTrip(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	core.EnableTelemetry(reg)
-	defer core.EnableTelemetry(nil)
+	ctx := obs.With(context.Background(), obs.New(reg, nil))
 
 	data := estTestData(64<<10, 9)
-	enc, _, err := core.CompressWithStats(data, core.Options{ChunkBytes: 64 << 10})
+	var c core.Codec
+	enc, _, err := c.CompressWithStatsCtx(ctx, data, core.Options{ChunkBytes: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := core.DecompressWithStats(enc); err != nil {
+	if _, _, err := c.DecompressWithStatsCtx(ctx, enc); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,8 +85,7 @@ func TestEstimateFromLiveRoundTrip(t *testing.T) {
 
 func TestEstimateNoData(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	core.EnableTelemetry(reg)
-	core.EnableTelemetry(nil)
+	obs.New(reg, nil) // registers every series, all zero
 	if _, err := model.EstimateFromSnapshot(reg.Snapshot(), testEnv()); !errors.Is(err, model.ErrNoData) {
 		t.Fatalf("got %v, want ErrNoData", err)
 	}
@@ -98,11 +99,11 @@ func TestEstimateNoData(t *testing.T) {
 // doubling every stage's wall time halves the fitted rates.
 func TestEstimateWithStagesOverride(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	core.EnableTelemetry(reg)
-	defer core.EnableTelemetry(nil)
+	ctx := obs.With(context.Background(), obs.New(reg, nil))
 
 	data := estTestData(16<<10, 11)
-	if _, _, err := core.CompressWithStats(data, core.Options{ChunkBytes: 32 << 10}); err != nil {
+	var c core.Codec
+	if _, _, err := c.CompressWithStatsCtx(ctx, data, core.Options{ChunkBytes: 32 << 10}); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

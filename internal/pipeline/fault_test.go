@@ -156,7 +156,7 @@ func TestGovernedRoundTripByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	gopts := opts
-	gopts.Governor = governor.New(16*1024, 1)
+	gopts.Governor = governor.New(16*1024, 1, nil)
 	got, err := CompressCtx(context.Background(), data, gopts)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestGovernedRoundTripByteIdentical(t *testing.T) {
 }
 
 func TestGovernorReleasedOnShardError(t *testing.T) {
-	gov := governor.New(1<<20, 2)
+	gov := governor.New(1<<20, 2, nil)
 	err := runShards(context.Background(), Options{Workers: 4, Governor: gov}, "compress", trace.Span{}, 16,
 		func(ctx context.Context, codec *core.Codec, i int) error {
 			if i == 2 {

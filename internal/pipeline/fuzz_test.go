@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"primacy/internal/core"
@@ -33,7 +34,7 @@ func FuzzDecompress(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		opts := Options{Workers: 2}
 		dec, err := Decompress(data, opts)
-		sal, rep, serr := DecompressSalvage(data, opts)
+		sal, rep, serr := DecompressSalvage(context.Background(), data, opts)
 		if err == nil {
 			if serr != nil {
 				t.Fatalf("strict decode accepted input but salvage errored: %v", serr)
@@ -45,7 +46,7 @@ func FuzzDecompress(f *testing.F) {
 				t.Fatal("strict and salvage decode disagree on a valid input")
 			}
 		}
-		if vrep, verr := Verify(data); err == nil && (verr != nil || !vrep.Clean()) {
+		if vrep, verr := Verify(context.Background(), data); err == nil && (verr != nil || !vrep.Clean()) {
 			t.Fatalf("strict decode accepted input but Verify flagged it: %v / %v", verr, vrep)
 		}
 	})

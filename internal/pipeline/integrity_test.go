@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -59,7 +60,7 @@ func TestV2ContainersDecode(t *testing.T) {
 		if !bytes.Equal(dec, raw) {
 			t.Fatalf("%s did not decompress byte-identically", name)
 		}
-		sal, rep, err := DecompressSalvage(enc, Options{})
+		sal, rep, err := DecompressSalvage(context.Background(), enc, Options{})
 		if err != nil || !rep.Clean() || !bytes.Equal(sal, raw) {
 			t.Fatalf("%s: salvage err=%v report=%v", name, err, rep)
 		}
@@ -114,7 +115,7 @@ func TestSalvageCorruptShard(t *testing.T) {
 	if _, err := Decompress(mut, Options{}); err == nil {
 		t.Fatal("strict decode accepted corrupt shard")
 	}
-	dec, rep, err := DecompressSalvage(mut, Options{})
+	dec, rep, err := DecompressSalvage(context.Background(), mut, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +139,11 @@ func TestSalvageCorruptShard(t *testing.T) {
 // TestVerify flags corrupt containers and passes clean ones.
 func TestVerify(t *testing.T) {
 	enc := readFixture(t, "v2", "multichunk.prp")
-	rep, err := Verify(enc)
+	rep, err := Verify(context.Background(), enc)
 	if err != nil || !rep.Clean() {
 		t.Fatalf("clean container flagged: %v / %v", err, rep)
 	}
-	rep, err = Verify(faultinject.FlipBit(enc, len(enc)/2*8))
+	rep, err = Verify(context.Background(), faultinject.FlipBit(enc, len(enc)/2*8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestShardCountClaimFailsFast(t *testing.T) {
 // TestChunkCRCCheckedBeforeDecode: a flipped chunk CRC in a PRM container
 // fails the whole call before any worker starts decoding.
 func TestChunkCRCCheckedBeforeDecode(t *testing.T) {
-	reg := enableAll(t)
+	reg, _, ctx := observed()
 	raw := testData(4096)
 	enc, err := Compress(raw, Options{Core: core.Options{ChunkBytes: 4 << 10}})
 	if err != nil {
@@ -182,7 +183,7 @@ func TestChunkCRCCheckedBeforeDecode(t *testing.T) {
 	before, _ := reg.Snapshot().Counter("primacy_pipeline_shards_total")
 	mut := bytes.Clone(enc)
 	mut[pos+4] ^= 1
-	_, err = Decompress(mut, Options{Workers: 4})
+	_, err = DecompressCtx(ctx, mut, Options{Workers: 4})
 	if !errors.Is(err, core.ErrChecksum) {
 		t.Fatalf("err = %v, want a chunk checksum failure", err)
 	}

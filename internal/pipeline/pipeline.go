@@ -22,7 +22,7 @@ import (
 	"primacy/internal/checksum"
 	"primacy/internal/core"
 	"primacy/internal/governor"
-	"primacy/internal/telemetry"
+	"primacy/internal/obs"
 	"primacy/internal/trace"
 )
 
@@ -98,7 +98,7 @@ func Compress(data []byte, opts Options) ([]byte, error) {
 // the remaining chunks, worker panics surface as *ShardError wrapping
 // *core.PanicError, and opts.Governor (when set) gates chunk admission.
 func CompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, error) {
-	root := startSpan(trace.SpanFromContext(ctx), "pipeline.compress").
+	root := obs.Start(ctx, "pipeline.compress").
 		Attr("raw_bytes", int64(len(data)))
 	enc, err := core.NewEncoder(trace.ContextWithSpan(ctx, root), data, opts.Core)
 	if err != nil {
@@ -201,6 +201,7 @@ func splitShards(data []byte) (shards [][]byte, offsets []int, err error) {
 // context so core chunk spans nest under it.
 func runShards(ctx context.Context, opts Options, op string, parent trace.Span, n int, do func(ctx context.Context, codec *core.Codec, i int) error, weight func(i int) int64) error {
 	workers := min(opts.workers(), n)
+	m := pipeBundle.Of(obs.From(ctx))
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make([]error, n)
@@ -214,21 +215,20 @@ func runShards(ctx context.Context, opts Options, op string, parent trace.Span, 
 			defer codecPool.Put(codec)
 			// With tracing on, label the worker goroutine so CPU profiles
 			// (-pprof-addr) attribute samples to stage and shard. The label
-			// set is rebuilt per shard; gated on the tracer so the untraced
-			// path never allocates label storage.
-			traced := ttrc.Load() != nil || parent.Active()
+			// set is rebuilt per shard; gated on the call's span so the
+			// untraced path never allocates label storage.
 			for i := range idxCh {
 				if err := ctx.Err(); err != nil {
 					errs[i] = err
 					continue
 				}
 				run := func(ctx context.Context) {
-					if err := runShard(ctx, opts.Governor, codec, i, parent, do, weight); err != nil {
+					if err := runShard(ctx, opts.Governor, m, codec, i, parent, do, weight); err != nil {
 						errs[i] = err
 						cancel()
 					}
 				}
-				if traced {
+				if parent.Active() {
 					pprof.Do(ctx, pprof.Labels(
 						"primacy_stage", op,
 						"primacy_shard", strconv.Itoa(i),
@@ -272,16 +272,12 @@ feed:
 	return ctxErr
 }
 
-// runShard executes one shard under admission control and panic isolation.
-// parent is the call's root trace span; the shard's own span nests under it
-// (Child is goroutine-safe) and is carried by the shard context so the core
-// codec's chunk spans nest in turn.
-func runShard(ctx context.Context, gov *governor.Governor, codec *core.Codec, i int, parent trace.Span, do func(ctx context.Context, codec *core.Codec, i int) error, weight func(i int) int64) (err error) {
-	m := tmet.Load()
-	var sp telemetry.Span
-	if m != nil {
-		sp = m.shardSeconds.Start()
-	}
+// runShard executes one shard under admission control and panic isolation,
+// recording it on m. parent is the call's root trace span; the shard's own
+// span nests under it (Child is goroutine-safe) and is carried by the shard
+// context so the core codec's chunk spans nest in turn.
+func runShard(ctx context.Context, gov *governor.Governor, m *pipeMetrics, codec *core.Codec, i int, parent trace.Span, do func(ctx context.Context, codec *core.Codec, i int) error, weight func(i int) int64) (err error) {
+	sp := m.shardSeconds.Start()
 	ss := parent.Child("pipeline.shard").Attr("shard", int64(i))
 	defer func() {
 		if r := recover(); r != nil {
@@ -289,11 +285,9 @@ func runShard(ctx context.Context, gov *governor.Governor, codec *core.Codec, i 
 		}
 		ss.End(err)
 		sp.End()
-		if m != nil {
-			m.shards.Inc()
-			if err != nil {
-				m.shardErrors.Inc()
-			}
+		m.shards.Inc()
+		if err != nil {
+			m.shardErrors.Inc()
 		}
 	}()
 	ctx = trace.ContextWithSpan(ctx, ss)
@@ -357,7 +351,7 @@ func DecompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, erro
 		}
 	}
 	outputs := make([][]byte, n)
-	root := startSpan(trace.SpanFromContext(ctx), "pipeline.decompress").
+	root := obs.Start(ctx, "pipeline.decompress").
 		Attr("container_bytes", int64(len(data))).
 		Attr("shards", int64(n)).
 		Attr("workers", int64(opts.workers()))
@@ -380,10 +374,11 @@ func DecompressCtx(ctx context.Context, data []byte, opts Options) ([]byte, erro
 // container goes through core.DecompressSalvage. In a legacy PRP container,
 // shards that fail their checksum or decode are recovered through
 // core.DecompressSalvage, so only the corrupt chunks inside them are lost.
-// The error is non-nil only when the input is not a container at all.
-func DecompressSalvage(data []byte, opts Options) ([]byte, *core.CorruptionReport, error) {
+// The error is non-nil only when the input is not a container at all. The
+// salvage reports to the observer ctx carries.
+func DecompressSalvage(ctx context.Context, data []byte, opts Options) ([]byte, *core.CorruptionReport, error) {
 	if !isLegacy(data) {
-		return core.DecompressSalvage(data)
+		return core.DecompressSalvage(ctx, data)
 	}
 	rep := &core.CorruptionReport{Format: string(data[:4])}
 	shards, offsets, err := splitShards(data)
@@ -397,7 +392,7 @@ func DecompressSalvage(data []byte, opts Options) ([]byte, *core.CorruptionRepor
 	}
 	var out []byte
 	for i, shard := range shards {
-		sal, subRep, serr := core.DecompressSalvage(shard)
+		sal, subRep, serr := core.DecompressSalvage(ctx, shard)
 		if serr != nil {
 			rep.Add(offsets[i], i, serr)
 			continue
@@ -481,7 +476,7 @@ func nextLenientFrame(data []byte, from, frameHdr int) int {
 // Verify checks the container's integrity without producing output: it is
 // DecompressSalvage's report. The error is non-nil only when the input is
 // not a container at all.
-func Verify(data []byte) (*core.CorruptionReport, error) {
-	_, rep, err := DecompressSalvage(data, Options{})
+func Verify(ctx context.Context, data []byte) (*core.CorruptionReport, error) {
+	_, rep, err := DecompressSalvage(ctx, data, Options{})
 	return rep, err
 }

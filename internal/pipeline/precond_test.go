@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -21,7 +22,7 @@ func TestPrecondV3ShardSalvageResync(t *testing.T) {
 	if !bytes.Contains(enc, []byte("PRM3")) {
 		t.Fatal("preconditioned shards did not produce v3 containers")
 	}
-	rep, err := Verify(enc)
+	rep, err := Verify(context.Background(), enc)
 	if err != nil || !rep.Clean() {
 		t.Fatalf("verify: err=%v report=%v", err, rep)
 	}
@@ -32,7 +33,7 @@ func TestPrecondV3ShardSalvageResync(t *testing.T) {
 	for i := 8; i < 20; i++ {
 		mut[i] ^= 0xFF
 	}
-	out, rep, err := DecompressSalvage(mut, Options{})
+	out, rep, err := DecompressSalvage(context.Background(), mut, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,33 +8,26 @@ import (
 	"primacy/internal/core"
 	"primacy/internal/faultinject"
 	"primacy/internal/governor"
+	"primacy/internal/obs"
 	"primacy/internal/telemetry"
 )
 
-// enableAll routes the packages under test to one registry and restores the
-// disabled state afterward, so telemetry never leaks into other tests.
-func enableAll(t *testing.T) *telemetry.Registry {
-	t.Helper()
+// observed returns a fresh registry, its observer, and a context whose
+// calls report to it; nothing outside the context sees the registry.
+func observed() (*telemetry.Registry, *obs.Observer, context.Context) {
 	reg := telemetry.NewRegistry()
-	core.EnableTelemetry(reg)
-	governor.EnableTelemetry(reg)
-	EnableTelemetry(reg)
-	t.Cleanup(func() {
-		core.EnableTelemetry(nil)
-		governor.EnableTelemetry(nil)
-		EnableTelemetry(nil)
-	})
-	return reg
+	o := obs.New(reg, nil)
+	return reg, o, obs.With(context.Background(), o)
 }
 
 // A governed pipeline run must surface admission waits, shard counts, core
 // chunk/byte accounting, and stage timings on the registry.
 func TestPipelineTelemetryEndToEnd(t *testing.T) {
-	reg := enableAll(t)
+	reg, o, ctx := observed()
 
 	const chunk = 8 << 10
 	raw := testData(6 * chunk / 8) // 6 chunks
-	g := governor.New(0, 1)
+	g := governor.New(0, 1, o)
 	opts := Options{
 		Workers:  2,
 		Core:     core.Options{ChunkBytes: chunk},
@@ -48,7 +41,7 @@ func TestPipelineTelemetryEndToEnd(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Compress(raw, opts)
+		_, err := CompressCtx(ctx, raw, opts)
 		done <- err
 	}()
 	deadline := time.Now().Add(10 * time.Second)
@@ -103,7 +96,7 @@ func TestPipelineTelemetryEndToEnd(t *testing.T) {
 // Solver faults degrade chunks to raw passthrough; the degraded-chunk
 // counter must record every one.
 func TestDegradedChunkMetric(t *testing.T) {
-	reg := enableAll(t)
+	reg, _, ctx := observed()
 
 	fi, err := faultinject.New("tlm-degrade", "zlib")
 	if err != nil {
@@ -114,7 +107,7 @@ func TestDegradedChunkMetric(t *testing.T) {
 
 	const chunk = 8 << 10
 	raw := testData(4 * chunk / 8)
-	_, err = Compress(raw, Options{
+	_, err = CompressCtx(ctx, raw, Options{
 		Workers: 2,
 		Core:    core.Options{ChunkBytes: chunk, Solver: "tlm-degrade"},
 	})
@@ -130,15 +123,15 @@ func TestDegradedChunkMetric(t *testing.T) {
 // The pipeline records exactly the core telemetry a sequential
 // core.Compress of the same input records, plus one shard per chunk.
 func TestPipelineTelemetryMatchesCore(t *testing.T) {
-	reg := enableAll(t)
+	reg, _, ctx := observed()
 	raw := testData(5000)
 	opts := core.Options{ChunkBytes: 4 << 10}
-	if _, err := core.Compress(raw, opts); err != nil {
+	if _, err := core.CompressCtx(ctx, raw, opts); err != nil {
 		t.Fatal(err)
 	}
 	want := reg.Snapshot()
 	chunks, _ := want.Counter("primacy_core_chunks_total")
-	if _, err := Compress(raw, Options{Core: opts, Workers: 3}); err != nil {
+	if _, err := CompressCtx(ctx, raw, Options{Core: opts, Workers: 3}); err != nil {
 		t.Fatal(err)
 	}
 	got := reg.Snapshot()

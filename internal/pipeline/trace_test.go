@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"primacy/internal/core"
+	"primacy/internal/obs"
 	"primacy/internal/trace"
 )
 
@@ -17,17 +18,16 @@ import (
 // root. Run under -race in CI.
 func TestShardSpansNestAcrossWorkers(t *testing.T) {
 	tr := trace.New(trace.Config{Capacity: 8192})
-	EnableTracing(tr)
-	defer EnableTracing(nil)
+	ctx := obs.With(context.Background(), obs.New(nil, tr))
 
 	// 4096 elements = 32 KiB of input at 16 KiB chunks = 2 shards/direction.
 	data := shardTestData(4096, 42)
 	opts := Options{Workers: 4, Core: core.Options{ChunkBytes: 16 << 10}}
-	enc, err := Compress(data, opts)
+	enc, err := CompressCtx(ctx, data, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decompress(enc, opts)
+	dec, err := DecompressCtx(ctx, enc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +82,7 @@ func TestShardSpansNestAcrossWorkers(t *testing.T) {
 // failed call it is meant to explain.
 func TestFailedCompressEndsCoreSpan(t *testing.T) {
 	tr := trace.New(trace.Config{Capacity: 1024})
-	EnableTracing(tr)
-	defer EnableTracing(nil)
-
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(obs.With(context.Background(), obs.New(nil, tr)))
 	cancel()
 	data := shardTestData(4096, 42)
 	_, err := CompressCtx(ctx, data, Options{Workers: 2, Core: core.Options{ChunkBytes: 8 << 10}})
@@ -116,9 +113,7 @@ func TestTracingDisabledIsInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := trace.New(trace.Config{})
-	EnableTracing(tr)
-	encOn, err := Compress(data, opts)
-	EnableTracing(nil)
+	encOn, err := CompressCtx(obs.With(context.Background(), obs.New(nil, tr)), data, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"time"
 
+	"primacy/internal/obs"
 	"primacy/internal/trace"
 )
 
@@ -89,8 +90,9 @@ func (p Policy) sleep(ctx context.Context, d time.Duration) {
 // Do runs op under the policy: transient failures are retried with
 // exponential backoff until an attempt succeeds, the error is classified
 // permanent, attempts run out, or ctx is done (which returns ctx.Err()).
+// Attempts are recorded on the observer ctx carries.
 func (p Policy) Do(ctx context.Context, op func() error) error {
-	m := tmet.Load()
+	m := bundle.Of(obs.From(ctx))
 	attempts := p.Attempts
 	if attempts < 1 {
 		attempts = 1
@@ -105,18 +107,16 @@ func (p Policy) Do(ctx context.Context, op func() error) error {
 			ts.End(cerr)
 			return cerr
 		}
-		if m != nil {
-			m.attempts.Inc()
-			if try > 0 {
-				m.retries.Inc()
-			}
+		m.attempts.Inc()
+		if try > 0 {
+			m.retries.Inc()
 		}
 		if err = op(); err == nil {
 			ts.End(nil)
 			return nil
 		}
 		if !ts.Active() {
-			ts = startSpan(trace.SpanFromContext(ctx), "retry.op")
+			ts = obs.Start(ctx, "retry.op")
 		}
 		if ts.Active() {
 			ts.Event(trace.KindRetry, fmt.Sprintf("attempt %d failed: %v", try+1, err))
@@ -126,9 +126,7 @@ func (p Policy) Do(ctx context.Context, op func() error) error {
 			return err
 		}
 		if try == attempts-1 {
-			if m != nil {
-				m.exhausted.Inc()
-			}
+			m.exhausted.Inc()
 			ts.Anomaly(trace.KindRetryExhausted, err.Error())
 			ts.End(err)
 			return err
@@ -137,9 +135,7 @@ func (p Policy) Do(ctx context.Context, op func() error) error {
 		if p.Jitter {
 			wait = p.jittered(delay)
 		}
-		if m != nil {
-			m.backoffSeconds.Observe(wait.Seconds())
-		}
+		m.backoffSeconds.Observe(wait.Seconds())
 		p.sleep(ctx, wait)
 		delay *= 2
 	}

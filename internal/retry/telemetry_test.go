@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"primacy/internal/obs"
 	"primacy/internal/telemetry"
 )
 
@@ -13,12 +14,11 @@ import (
 // every backoff sleep; an exhausted policy must count the exhaustion.
 func TestRetryTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	EnableTelemetry(reg)
-	t.Cleanup(func() { EnableTelemetry(nil) })
+	ctx := obs.With(context.Background(), obs.New(reg, nil))
 
 	p := Policy{Attempts: 3, Backoff: time.Millisecond, Sleep: func(time.Duration) {}}
 	fails := 2
-	err := p.Do(context.Background(), func() error {
+	err := p.Do(ctx, func() error {
 		if fails > 0 {
 			fails--
 			return errors.New("transient")
@@ -43,7 +43,7 @@ func TestRetryTelemetry(t *testing.T) {
 		t.Errorf("exhausted_total = %d, want 0", v)
 	}
 
-	if err := p.Do(context.Background(), func() error { return errors.New("always") }); err == nil {
+	if err := p.Do(ctx, func() error { return errors.New("always") }); err == nil {
 		t.Fatal("exhausted Do succeeded")
 	}
 	if v, _ := reg.Snapshot().Counter("primacy_retry_exhausted_total"); v != 1 {

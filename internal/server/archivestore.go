@@ -137,7 +137,7 @@ func (s *Server) opArchiveGet(req *request) (*response, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reopening tenant archive: %w", err)
 	}
-	values, err := rd.GetFloat64s(name, step)
+	values, err := rd.GetFloat64s(req.ctx, name, step)
 	if err != nil {
 		return nil, &httpError{status: http.StatusNotFound,
 			msg: fmt.Sprintf("entry %s@%d", name, step), err: err}

@@ -14,6 +14,7 @@ import (
 	"primacy/internal/archive"
 	"primacy/internal/core"
 	"primacy/internal/fairshare"
+	"primacy/internal/obs"
 	"primacy/internal/pipeline"
 	"primacy/internal/precond"
 	"primacy/internal/solver"
@@ -145,9 +146,10 @@ func (s *Server) work(name string, op func(*request) (*response, error)) http.Ha
 			return
 		}
 		defer cancel()
-		// Carry the request span in the context so admission and codec spans
-		// nest under it automatically.
-		req.ctx = trace.ContextWithSpan(ctx, span)
+		// Carry the server's observer and the request span in the context,
+		// so the codec reports to the server's registry and its spans nest
+		// under the request.
+		req.ctx = trace.ContextWithSpan(obs.With(ctx, s.obs), span)
 
 		if r.Method == http.MethodPost {
 			body, err := io.ReadAll(http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes))

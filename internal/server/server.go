@@ -30,6 +30,7 @@ import (
 	"primacy/internal/core"
 	"primacy/internal/durable"
 	"primacy/internal/fairshare"
+	"primacy/internal/obs"
 	"primacy/internal/solver"
 	"primacy/internal/telemetry"
 	"primacy/internal/trace"
@@ -89,8 +90,9 @@ type Config struct {
 	// disables auto-compaction).
 	CompactEvery int
 
-	// Metrics, when set, receives the server's counters and serves
-	// /metrics. Nil disables both.
+	// Metrics, when set, receives the server's counters and those of
+	// everything it runs — codec, pipeline, archive, durable store and
+	// admitter — and serves /metrics. Nil disables both.
 	Metrics *telemetry.Registry
 
 	// Logger, when set, receives one structured access-log line per work
@@ -99,7 +101,8 @@ type Config struct {
 	Logger *slog.Logger
 	// Tracer, when set, records a flight-recorder span per work request
 	// (carrying the request ID) with admission and codec child spans nested
-	// under it. Nil disables request spans.
+	// under it, plus the durable store's recovery and compaction spans. Nil
+	// disables request spans.
 	Tracer *trace.Tracer
 	// SlowRequest is the slow-request threshold: a work request slower than
 	// this logs at warn and dumps its span tree. 0 disables.
@@ -172,6 +175,9 @@ type Server struct {
 	cache *resultCache
 	mux   *http.ServeMux
 	met   serverMetrics
+	// obs carries Config.Metrics and Config.Tracer to everything the
+	// server builds and to every request's context.
+	obs *obs.Observer
 
 	// baseCtx is cancelled to deadline-cancel all in-flight work during a
 	// forced drain.
@@ -208,10 +214,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ChunkBytes > core.MaxChunkBytes {
 		return nil, fmt.Errorf("server: %w: %d bytes", core.ErrChunkTooLarge, cfg.ChunkBytes)
 	}
+	o := obs.New(cfg.Metrics, cfg.Tracer)
 	store, recovery, err := durable.Open(cfg.DataDir, durable.Options{
 		NoFsync:      cfg.NoFsync,
 		CompactEvery: cfg.CompactEvery,
 		Core:         core.Options{Solver: cfg.Solver, ChunkBytes: cfg.ChunkBytes},
+		Observer:     o,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: opening durable store: %w", err)
@@ -225,7 +233,9 @@ func New(cfg Config) (*Server, error) {
 			MaxQueuedPerTenant: cfg.MaxQueuedPerTenant,
 			MaxQueued:          cfg.MaxQueued,
 			Weights:            cfg.TenantWeights,
+			Observer:           o,
 		}),
+		obs:        o,
 		cache:      newResultCache(cfg.CacheBytes),
 		baseCtx:    ctx,
 		cancelBase: cancel,

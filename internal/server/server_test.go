@@ -51,7 +51,18 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 func post(t *testing.T, url string, body []byte, headers map[string]string) (*http.Response, []byte) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	return do(t, http.MethodPost, url, body, headers)
+}
+
+func get(t *testing.T, url string) (*http.Response, []byte) {
+	t.Helper()
+	return do(t, http.MethodGet, url, nil, nil)
+}
+
+// do sends one request and returns the response with its body read.
+func do(t *testing.T, method, url string, body []byte, headers map[string]string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,20 +70,6 @@ func post(t *testing.T, url string, body []byte, headers map[string]string) (*ht
 		req.Header.Set(k, v)
 	}
 	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, out
-}
-
-func get(t *testing.T, url string) (*http.Response, []byte) {
-	t.Helper()
-	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +132,6 @@ func TestPipelineWorkersRoundTrip(t *testing.T) {
 // per-transform selection counters must reach the service's registry.
 func TestCompressPrecondParam(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	core.EnableTelemetry(reg)
-	defer core.EnableTelemetry(nil)
 	_, ts := newTestServer(t, Config{Metrics: reg})
 	raw := testData(20_000, 7)
 	resp, plain := post(t, ts.URL+"/v1/compress", raw, nil)

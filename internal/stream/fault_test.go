@@ -136,7 +136,7 @@ func TestWriterGovernedStreamByteIdentical(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	gov := governor.New(4096, 1)
+	gov := governor.New(4096, 1, nil)
 	var got bytes.Buffer
 	w, err = NewWriterWith(context.Background(), &got, WriterOptions{Core: opts, Governor: gov})
 	if err != nil {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -52,7 +53,7 @@ func segmentFrames(t *testing.T, enc []byte) [][2]int {
 
 func salvageRead(t *testing.T, enc []byte) ([]byte, *core.CorruptionReport) {
 	t.Helper()
-	r := NewSalvageReader(bytes.NewReader(enc))
+	r := NewSalvageReader(context.Background(), bytes.NewReader(enc))
 	out, err := io.ReadAll(r)
 	if err != nil {
 		t.Fatalf("salvage read errored: %v", err)

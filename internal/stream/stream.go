@@ -29,8 +29,8 @@ import (
 	"primacy/internal/checksum"
 	"primacy/internal/core"
 	"primacy/internal/governor"
+	"primacy/internal/obs"
 	"primacy/internal/retry"
-	"primacy/internal/telemetry"
 	"primacy/internal/trace"
 )
 
@@ -67,6 +67,7 @@ var maxSegmentBytes int64 = math.MaxUint32
 // A successful Close is idempotent.
 type Writer struct {
 	ctx        context.Context
+	m          *streamMetrics
 	dst        io.Writer
 	opts       core.Options
 	gov        *governor.Governor
@@ -109,7 +110,7 @@ func NewWriterCtx(ctx context.Context, dst io.Writer, opts core.Options) (*Write
 
 // NewWriterWith is the fully-configured constructor: cancellation via ctx,
 // admission control via wopts.Governor, and transient-sink retries via
-// wopts.Retry.
+// wopts.Retry. The writer reports to the observer ctx carries.
 func NewWriterWith(ctx context.Context, dst io.Writer, wopts WriterOptions) (*Writer, error) {
 	opts := wopts.Core
 	lay, err := layoutFor(opts)
@@ -130,7 +131,7 @@ func NewWriterWith(ctx context.Context, dst io.Writer, wopts WriterOptions) (*Wr
 	if wopts.Retry.Enabled() {
 		dst = retry.NewWriter(ctx, dst, wopts.Retry)
 	}
-	return &Writer{ctx: ctx, dst: dst, opts: opts, gov: wopts.Governor, chunkBytes: chunk}, nil
+	return &Writer{ctx: ctx, m: streamBundle.Of(obs.From(ctx)), dst: dst, opts: opts, gov: wopts.Governor, chunkBytes: chunk}, nil
 }
 
 func layoutFor(opts core.Options) (bytesplit.Layout, error) {
@@ -196,15 +197,10 @@ func (w *Writer) emit(chunk []byte) (err error) {
 	if err := w.ctx.Err(); err != nil {
 		return err
 	}
-	m := tmet.Load()
-	var sp telemetry.Span
-	if m != nil {
-		sp = m.segSecs.Start()
-		defer sp.End()
-	}
+	defer w.m.segSecs.Start().End()
 	// The segment span rides the context so the core codec's chunk spans
 	// nest under it; a failed emit ends the span with the error (anomaly).
-	ss := startSpan(trace.SpanFromContext(w.ctx), "stream.segment").
+	ss := obs.Start(w.ctx, "stream.segment").
 		Attr("segment", int64(w.segIdx)).
 		Attr("raw_bytes", int64(len(chunk)))
 	w.segIdx++
@@ -237,11 +233,9 @@ func (w *Writer) emit(chunk []byte) (err error) {
 	if _, err := w.dst.Write(enc); err != nil {
 		return err
 	}
-	if m != nil {
-		m.segments.Inc()
-		m.segBytes.Add(int64(len(enc)))
-		m.segRaw.Add(int64(len(chunk)))
-	}
+	w.m.segments.Inc()
+	w.m.segBytes.Add(int64(len(enc)))
+	w.m.segRaw.Add(int64(len(chunk)))
 	return nil
 }
 
@@ -315,7 +309,12 @@ func (w *Writer) Stats() core.Stats { return w.stats }
 // Reader decompresses a stream produced by Writer (either format version).
 // Not safe for concurrent use.
 type Reader struct {
-	ctx     context.Context
+	ctx context.Context
+	// dec is ctx without its cancellation, for the segment decodes: they
+	// report to ctx's observer, while cancellation is only checked between
+	// segments.
+	dec     context.Context
+	m       *streamMetrics
 	src     io.Reader
 	pending []byte
 	started bool
@@ -334,17 +333,17 @@ type Reader struct {
 
 // NewReader returns a streaming decompressor over src.
 func NewReader(src io.Reader) *Reader {
-	return &Reader{ctx: context.Background(), src: src}
+	return NewReaderCtx(context.Background(), src)
 }
 
 // NewReaderCtx is NewReader with cancellation: ctx is checked before each
 // segment is read and decoded, so a cancelled Read returns ctx.Err() within
-// one segment boundary.
+// one segment boundary. The reader reports to the observer ctx carries.
 func NewReaderCtx(ctx context.Context, src io.Reader) *Reader {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Reader{ctx: ctx, src: src}
+	return &Reader{ctx: ctx, dec: context.WithoutCancel(ctx), m: streamBundle.Of(obs.From(ctx)), src: src}
 }
 
 // NewSalvageReader returns a decompressor that recovers as much of a
@@ -354,9 +353,11 @@ func NewReaderCtx(ctx context.Context, src io.Reader) *Reader {
 // recorded in Report. Reads return io.EOF at the end of recovery rather
 // than surfacing corruption errors; callers inspect Report for what was
 // lost. Salvage buffers the stream in memory, so it is meant for recovery
-// jobs, not steady-state decoding.
-func NewSalvageReader(src io.Reader) *Reader {
-	return &Reader{ctx: context.Background(), src: src, salvage: true, report: &core.CorruptionReport{}}
+// jobs, not steady-state decoding. ctx works as in NewReaderCtx.
+func NewSalvageReader(ctx context.Context, src io.Reader) *Reader {
+	r := NewReaderCtx(ctx, src)
+	r.salvage, r.report = true, &core.CorruptionReport{}
+	return r
 }
 
 // Report returns the corruption report accumulated by a salvage reader
@@ -366,24 +367,25 @@ func (r *Reader) Report() *core.CorruptionReport { return r.report }
 // addFault records one salvage fault in the report and counts it.
 func (r *Reader) addFault(off, seg int, err error) {
 	r.report.Add(off, seg, err)
-	if m := tmet.Load(); m != nil {
-		m.salvageFaults.Inc()
-	}
-	traceAnomaly("stream.salvage", trace.KindSalvageFault,
-		fmt.Sprintf("segment %d at offset %d: %v", seg, off, err))
+	r.m.salvageFaults.Inc()
+	r.anomaly(fmt.Sprintf("segment %d at offset %d: %v", seg, off, err))
 }
 
 // mergeFaults folds a sub-report into the reader's report and counts its
 // faults.
 func (r *Reader) mergeFaults(base int, sub *core.CorruptionReport) {
 	r.report.Merge(base, sub)
-	if m := tmet.Load(); m != nil {
-		m.salvageFaults.Add(int64(len(sub.Corruptions)))
-	}
+	r.m.salvageFaults.Add(int64(len(sub.Corruptions)))
 	if len(sub.Corruptions) > 0 {
-		traceAnomaly("stream.salvage", trace.KindSalvageFault,
-			fmt.Sprintf("%d chunk fault(s) inside segment at offset %d", len(sub.Corruptions), base))
+		r.anomaly(fmt.Sprintf("%d chunk fault(s) inside segment at offset %d", len(sub.Corruptions), base))
 	}
+}
+
+// anomaly files a stream.salvage span carrying one salvage fault.
+func (r *Reader) anomaly(detail string) {
+	s := obs.Start(r.ctx, "stream.salvage")
+	s.Anomaly(trace.KindSalvageFault, detail)
+	s.End(nil)
 }
 
 // Read implements io.Reader, decoding segment by segment.
@@ -396,13 +398,10 @@ func (r *Reader) Read(p []byte) (int, error) {
 			r.err = io.EOF
 			return 0, io.EOF
 		}
-		if r.ctx != nil {
-			if err := r.ctx.Err(); err != nil {
-				// Cancellation is not sticky: the stream itself is fine, so
-				// a caller with a fresh deadline can resume where it left
-				// off.
-				return 0, err
-			}
+		if err := r.ctx.Err(); err != nil {
+			// Cancellation is not sticky: the stream itself is fine, so a
+			// caller with a fresh deadline can resume where it left off.
+			return 0, err
 		}
 		fill := r.fill
 		if r.salvage {
@@ -481,7 +480,7 @@ func (r *Reader) fill() error {
 	if r.version >= 2 && checksum.Sum(seg) != wantCRC {
 		return fmt.Errorf("%w: segment: %w", ErrCorrupt, ErrChecksum)
 	}
-	chunk, err := core.Decompress(seg)
+	chunk, err := core.DecompressCtx(r.dec, seg)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -552,11 +551,11 @@ func (r *Reader) fillSalvage() error {
 			r.segIdx++
 			return r.resync(start + segLen)
 		}
-		chunk, err := core.Decompress(seg)
+		chunk, err := core.DecompressCtx(r.dec, seg)
 		if err != nil {
 			// Framing was intact but the payload is damaged; salvage what
 			// the container still holds before moving on.
-			sal, subRep, serr := core.DecompressSalvage(seg)
+			sal, subRep, serr := core.DecompressSalvage(r.dec, seg)
 			if serr != nil {
 				r.addFault(r.pos, r.segIdx, err)
 			} else {
@@ -583,14 +582,10 @@ func (r *Reader) fillSalvage() error {
 // cursor after it. Damage that destroys a segment's length field loses only
 // that segment.
 func (r *Reader) resync(from int) error {
-	if m := tmet.Load(); m != nil {
-		m.resyncs.Inc()
-	}
-	if t := ttrc.Load(); t != nil {
-		s := t.Start("stream.resync").Attr("from", int64(from))
-		s.Event(trace.KindResync, "scanning for next segment frame")
-		defer func() { s.End(nil) }()
-	}
+	r.m.resyncs.Inc()
+	s := obs.Start(r.ctx, "stream.resync").Attr("from", int64(from))
+	s.Event(trace.KindResync, "scanning for next segment frame")
+	defer s.End(nil)
 	for {
 		c := nextContainerMagic(r.buf, from)
 		if c < 0 {
@@ -602,7 +597,7 @@ func (r *Reader) resync(from int) error {
 			from = c + 1
 			continue
 		}
-		chunk, err := core.Decompress(r.buf[c : c+encLen])
+		chunk, err := core.DecompressCtx(r.dec, r.buf[c:c+encLen])
 		if err != nil {
 			from = c + 1
 			continue

@@ -2,30 +2,30 @@ package stream
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"testing"
 
 	"primacy/internal/core"
+	"primacy/internal/obs"
 	"primacy/internal/telemetry"
 )
 
-func enableStreamTelemetry(t *testing.T) *telemetry.Registry {
-	t.Helper()
+// observed returns a fresh registry and a context whose calls report to it.
+func observed() (*telemetry.Registry, context.Context) {
 	reg := telemetry.NewRegistry()
-	EnableTelemetry(reg)
-	t.Cleanup(func() { EnableTelemetry(nil) })
-	return reg
+	return reg, obs.With(context.Background(), obs.New(reg, nil))
 }
 
 // Writing a stream must account every emitted segment and its raw and
 // compressed bytes.
 func TestWriterTelemetry(t *testing.T) {
-	reg := enableStreamTelemetry(t)
+	reg, ctx := observed()
 
 	const chunk = 8 << 10
 	raw := testData(3 * chunk / 8) // 3 segments exactly
 	var sink bytes.Buffer
-	w, err := NewWriter(&sink, core.Options{ChunkBytes: chunk})
+	w, err := NewWriterCtx(ctx, &sink, core.Options{ChunkBytes: chunk})
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
@@ -55,12 +55,12 @@ func TestWriterTelemetry(t *testing.T) {
 // Salvaging a damaged stream must count the recorded faults and resync
 // scans.
 func TestSalvageTelemetry(t *testing.T) {
-	reg := enableStreamTelemetry(t)
+	reg, ctx := observed()
 
 	const chunk = 8 << 10
 	raw := testData(3 * chunk / 8)
 	var sink bytes.Buffer
-	w, err := NewWriter(&sink, core.Options{ChunkBytes: chunk})
+	w, err := NewWriterCtx(ctx, &sink, core.Options{ChunkBytes: chunk})
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestSalvageTelemetry(t *testing.T) {
 	secondHdr := 4 + 8 + firstSegLen
 	enc[secondHdr] ^= 0xFF
 
-	r := NewSalvageReader(bytes.NewReader(enc))
+	r := NewSalvageReader(ctx, bytes.NewReader(enc))
 	if _, err := io.Copy(io.Discard, r); err != nil {
 		t.Fatalf("salvage read: %v", err)
 	}

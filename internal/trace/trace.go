@@ -257,13 +257,22 @@ func (s Span) Child(name string) Span {
 	if s.d == nil {
 		return Span{}
 	}
+	return s.ChildAt(name, time.Now())
+}
+
+// ChildAt is Child with the start time given, so a caller that has just
+// read the clock to end one stage starts the next from the same reading.
+func (s Span) ChildAt(name string, start time.Time) Span {
+	if s.d == nil {
+		return Span{}
+	}
 	t := s.d.t
 	return Span{&spanData{
 		t:      t,
 		id:     t.nextID.Add(1),
 		parent: s.d.id,
 		name:   name,
-		start:  time.Now(),
+		start:  start,
 	}}
 }
 
@@ -318,6 +327,14 @@ func (s Span) End(err error) {
 	if s.d == nil {
 		return
 	}
+	s.EndAt(err, time.Now())
+}
+
+// EndAt is End with the end time given (see ChildAt).
+func (s Span) EndAt(err error, end time.Time) {
+	if s.d == nil {
+		return
+	}
 	d := s.d
 	s.d = nil
 	if d.t == nil {
@@ -331,7 +348,6 @@ func (s Span) End(err error) {
 		})
 		d.anom = true
 	}
-	end := time.Now()
 	rec := SpanRecord{
 		ID:      d.id,
 		Parent:  d.parent,

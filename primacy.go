@@ -28,11 +28,10 @@ import (
 	"primacy/internal/archive"
 	"primacy/internal/core"
 	"primacy/internal/datagen"
-	"primacy/internal/durable"
-	"primacy/internal/fairshare"
 	"primacy/internal/governor"
 	"primacy/internal/hpcsim"
 	"primacy/internal/model"
+	"primacy/internal/obs"
 	"primacy/internal/pipeline"
 	"primacy/internal/precond"
 	"primacy/internal/retry"
@@ -163,29 +162,29 @@ type CorruptionReport = core.CorruptionReport
 // DecompressSalvage decompresses as much of a damaged container as
 // possible, skipping corrupt chunks and reporting what was lost. See
 // core.DecompressSalvage.
-func DecompressSalvage(data []byte) ([]byte, *CorruptionReport, error) {
-	return core.DecompressSalvage(data)
+func DecompressSalvage(ctx context.Context, data []byte) ([]byte, *CorruptionReport, error) {
+	return core.DecompressSalvage(ctx, data)
 }
 
 // Verify checks the integrity of any PRIMACY artifact — core container,
 // parallel container, stream, or archive, either format version — without
 // producing output. The report lists every detected fault; the error is
 // non-nil only when the input is not a recognizable PRIMACY artifact.
-func Verify(data []byte) (*CorruptionReport, error) {
+func Verify(ctx context.Context, data []byte) (*CorruptionReport, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("primacy: %d-byte input is not a PRIMACY artifact", len(data))
 	}
 	switch string(data[:4]) {
 	case "PRM1", "PRM2", "PRM3", "PRP1", "PRP2":
-		return pipeline.Verify(data)
+		return pipeline.Verify(ctx, data)
 	case "PRS1", "PRS2":
-		r := stream.NewSalvageReader(bytes.NewReader(data))
+		r := stream.NewSalvageReader(ctx, bytes.NewReader(data))
 		if _, err := io.Copy(io.Discard, r); err != nil {
 			return r.Report(), err
 		}
 		return r.Report(), nil
 	case "PAR1", "PAR2":
-		return archive.Verify(bytes.NewReader(data), int64(len(data)))
+		return archive.Verify(ctx, bytes.NewReader(data), int64(len(data)))
 	default:
 		return nil, fmt.Errorf("primacy: unrecognized magic %q", data[:4])
 	}
@@ -238,9 +237,10 @@ type Governor = governor.Governor
 
 // NewGovernor returns a Governor enforcing the given budgets: memBudget
 // caps total admitted input bytes, maxConcurrent caps concurrent
-// admissions; zero disables the respective limit.
-func NewGovernor(memBudget int64, maxConcurrent int) *Governor {
-	return governor.New(memBudget, maxConcurrent)
+// admissions; zero disables the respective limit. The governor reports its
+// admissions to o (nil records nothing).
+func NewGovernor(memBudget int64, maxConcurrent int, o *Observer) *Governor {
+	return governor.New(memBudget, maxConcurrent, o)
 }
 
 // RetryPolicy retries transient sink/source I/O failures with exponential
@@ -265,8 +265,8 @@ func NewRetryReader(ctx context.Context, r io.Reader, p RetryPolicy) io.Reader {
 
 // ParallelDecompressSalvage recovers as much of a damaged container —
 // core or legacy parallel — as possible, reporting what was lost.
-func ParallelDecompressSalvage(data []byte, opts ParallelOptions) ([]byte, *CorruptionReport, error) {
-	return pipeline.DecompressSalvage(data, opts)
+func ParallelDecompressSalvage(ctx context.Context, data []byte, opts ParallelOptions) ([]byte, *CorruptionReport, error) {
+	return pipeline.DecompressSalvage(ctx, data, opts)
 }
 
 // StreamWriter compresses data written to it incrementally, emitting
@@ -312,8 +312,8 @@ func NewStreamReaderCtx(ctx context.Context, src io.Reader) *StreamReader {
 // NewSalvageStreamReader returns a stream decompressor that skips damaged
 // segments, resyncing to the next one; inspect its Report method after EOF
 // for what was lost.
-func NewSalvageStreamReader(src io.Reader) *StreamReader {
-	return stream.NewSalvageReader(src)
+func NewSalvageStreamReader(ctx context.Context, src io.Reader) *StreamReader {
+	return stream.NewSalvageReader(ctx, src)
 }
 
 // CompressFloat32s compresses single-precision values.
@@ -440,10 +440,10 @@ func PermuteValues(values []float64, seed int64) []float64 {
 }
 
 // Metrics is a telemetry registry: a set of named counters, gauges, and
-// histograms every subsystem reports into once EnableTelemetry routes them
-// there. Safe for concurrent use; expose it over HTTP with its
-// MetricsHandler method, dump it with WriteText/WritePrometheus, or read it
-// programmatically with Snapshot.
+// histograms the subsystems report into through an Observer. Safe for
+// concurrent use; expose it over HTTP with its MetricsHandler method, dump
+// it with WriteText/WritePrometheus, or read it programmatically with
+// Snapshot.
 type Metrics = telemetry.Registry
 
 // MetricsSnapshot is a point-in-time, sorted copy of every metric in a
@@ -452,27 +452,6 @@ type MetricsSnapshot = telemetry.Snapshot
 
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics { return telemetry.NewRegistry() }
-
-// EnableTelemetry routes every subsystem's metrics — codec stage timers
-// (the paper's α₁/α₂ decomposition), byte throughput, degraded-chunk and
-// salvage-fault counts, pipeline shard timing, stream segment accounting,
-// archive entry accounting, durable-store journal appends, fsync latency,
-// compactions and recovery salvage counts, governor admission waits and
-// queue depth, and retry attempts/backoff — to m. A nil m disables recording; the disabled
-// hot path costs one atomic load and nil check, with no allocation.
-//
-// The routing is process-wide (one registry at a time), matching how a
-// metrics endpoint is deployed; call EnableTelemetry(nil) to stop recording.
-func EnableTelemetry(m *Metrics) {
-	core.EnableTelemetry(m)
-	pipeline.EnableTelemetry(m)
-	stream.EnableTelemetry(m)
-	archive.EnableTelemetry(m)
-	durable.EnableTelemetry(m)
-	governor.EnableTelemetry(m)
-	fairshare.EnableTelemetry(m)
-	retry.EnableTelemetry(m)
-}
 
 // Tracer is a structured tracer: spans with parent/child nesting, typed
 // events, and attributes, recorded into a bounded in-memory flight recorder
@@ -494,24 +473,26 @@ type TraceDumpOptions = trace.DumpOptions
 // default capacities, no JSONL sink).
 func NewTracer(cfg TraceConfig) *Tracer { return trace.New(cfg) }
 
-// EnableTracing routes every subsystem's spans — per-chunk codec stage
-// spans, pipeline shard spans, stream segment spans, archive entry spans,
-// durable-store journal appends, compactions and recovery, governor waits,
-// and retry attempts — to t. A nil t disables tracing; the
-// disabled hot path costs one atomic load and nil check, with no
-// allocation.
-//
-// Like EnableTelemetry, the routing is process-wide (one tracer at a time);
-// call EnableTracing(nil) to stop recording.
-func EnableTracing(t *Tracer) {
-	core.EnableTracing(t)
-	pipeline.EnableTracing(t)
-	stream.EnableTracing(t)
-	archive.EnableTracing(t)
-	durable.EnableTracing(t)
-	governor.EnableTracing(t)
-	fairshare.EnableTracing(t)
-	retry.EnableTracing(t)
+// Observer is where instrumentation goes: a Metrics registry and a Tracer,
+// either optional. It receives codec stage timers (the paper's α₁/α₂
+// decomposition) and spans, byte throughput, degraded-chunk and
+// salvage-fault counts, pipeline shard timing, stream segment and archive
+// entry accounting, retry attempts and backoff, and governor admission
+// waits. A nil *Observer records nothing, at the cost of a context lookup
+// per call and no allocation.
+type Observer = obs.Observer
+
+// NewObserver returns an observer reporting to m and t (either may be nil).
+// Building one registers every subsystem's metrics on m, so build it once
+// and share it.
+func NewObserver(m *Metrics, t *Tracer) *Observer { return obs.New(m, t) }
+
+// WithObserver returns ctx carrying o: every call made with the context —
+// the *Ctx functions, stream and archive readers and writers built with it —
+// reports to o, and its spans nest under any span ctx already carries. Two
+// contexts with two observers never see each other's metrics or spans.
+func WithObserver(ctx context.Context, o *Observer) context.Context {
+	return obs.With(ctx, o)
 }
 
 // ModelEstimate is a live evaluation of the Section III model against

@@ -2,6 +2,7 @@ package primacy
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math"
 	"testing"
@@ -232,7 +233,7 @@ func TestFacadeArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.GetFloat64s("density", 0)
+	got, err := r.GetFloat64s(context.Background(), "density", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
